@@ -29,15 +29,11 @@ const RESTORE_JOBS_PER_NODE: usize = 8;
 
 fn slim_store() -> SlimStore {
     let cfg = slim_types::SlimConfig::default().with_avg_chunk_size(8 * 1024);
-    let mut builder = SlimStoreBuilder::in_memory()
+    SlimStoreBuilder::in_memory()
         .with_network(slim_bench::bench_network_fast())
-        .with_config(cfg);
-    // SLIM_BATCH=off reruns the G-node cycle numbers without the batched
-    // I/O plane (SLIM_BATCH=N caps its fan-out).
-    if let Some(cap) = slim_bench::batch_workers() {
-        builder = builder.with_batch_workers(cap);
-    }
-    builder.build().unwrap()
+        .with_config(cfg)
+        .build()
+        .unwrap()
 }
 
 fn restic_repo() -> ResticSim {
@@ -180,11 +176,8 @@ fn main() {
         }
     }
     println!(
-        "G-node cycle time (all versions): {:.2}s  [batched I/O fan-out: {}]",
+        "G-node cycle time (all versions): {:.2}s",
         gnode_time.as_secs_f64(),
-        slim_bench::batch_workers()
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "default".into()),
     );
     let slim_l_bytes = slim_l.space_report().unwrap().container_bytes;
     let slim_lg_bytes = slim_lg.space_report().unwrap().container_bytes;

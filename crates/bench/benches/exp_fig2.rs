@@ -7,7 +7,11 @@
 //! second-largest consumer.
 //!
 //! Both history-aware optimizations are disabled here (this figure motivates
-//! them).
+//! them), and the backup runs on the inline engine
+//! (`backup_pipeline_threads = 0`): the paper's breakdown is of one thread's
+//! CPU time, and with overlapped stages the span totals are summed across
+//! stage threads, so `wall − network` would no longer be CPU time and the
+//! shares could exceed 100 %.
 //!
 //! The per-version phase breakdown is regenerated from telemetry span
 //! deltas (`lnode.0.span.{chunking,fingerprinting,index,container_io,
@@ -16,10 +20,9 @@
 //! `SLIM_JSON=1` the full cumulative snapshot is emitted per chunker as a
 //! `TELEMETRY` line.
 
-use slim_bench::{
-    apply_hedge, bench_network, compression, pct, pipeline_threads, print_telemetry, scale,
-    span_secs, Table, VersionedFile,
-};
+use std::sync::Arc;
+
+use slim_bench::{bench_network, pct, print_telemetry, scale, span_secs, Table, VersionedFile};
 use slim_index::SimilarFileIndex;
 use slim_lnode::node::ChunkerKind;
 use slim_lnode::{LNode, StorageLayer};
@@ -34,23 +37,13 @@ fn main() {
     let stream = VersionedFile::new("fig2", bytes_per_version, versions, 0.84);
 
     for kind in [ChunkerKind::Rabin, ChunkerKind::FastCdc] {
-        let mut cfg = SlimConfig::default()
+        let cfg = SlimConfig::default()
             .with_skip_chunking(false)
-            .with_chunk_merging(false);
-        // SLIM_PIPELINE overrides; default-size from the network model
-        // (more channels → more pipeline threads pay off).
-        cfg.backup_pipeline_threads =
-            pipeline_threads().unwrap_or_else(|| bench_network().suggested_pipeline_threads());
-        // SLIM_COMPRESS=off is the A/B baseline without the per-chunk
-        // container compression plane.
-        if let Some(on) = compression() {
-            cfg.compression = on;
-        }
+            .with_chunk_merging(false)
+            .with_backup_pipeline_threads(0);
         let registry = Registry::new();
         let scope = registry.scope("lnode").child("0");
-        // SLIM_HEDGE=N models N OSS endpoints with hedged reads; unset
-        // leaves the bare store, byte-identical to historical runs.
-        let storage = StorageLayer::open(apply_hedge(Oss::new(bench_network())));
+        let storage = StorageLayer::open(Arc::new(Oss::new(bench_network())));
         let node = LNode::with_chunker(storage, SimilarFileIndex::new(), cfg, kind)
             .unwrap()
             .with_telemetry(scope);

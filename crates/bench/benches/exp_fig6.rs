@@ -9,11 +9,12 @@
 //!
 //! Setup follows §VII-B: initial chunk size 4 KB, merge threshold
 //! `duplicateTimes >= 5`, measured on the versions after merging kicks in.
+//! Backups run on the inline engine (`backup_pipeline_threads = 0`), the
+//! single-thread reference the paper's throughput lines describe.
 
-use slim_bench::{
-    apply_hedge, bench_network_fast, compression, f1, pct, pipeline_threads, scale, Table,
-    VersionedFile,
-};
+use std::sync::Arc;
+
+use slim_bench::{bench_network_fast, f1, pct, scale, Table, VersionedFile};
 use slim_index::SimilarFileIndex;
 use slim_lnode::{LNode, StorageLayer};
 use slim_oss::Oss;
@@ -32,16 +33,10 @@ fn run(stream: &VersionedFile, merging: bool, versions: usize) -> Outcome {
     // granularity, like the paper's database tables.
     let mut cfg = SlimConfig::default()
         .with_skip_chunking(false)
-        .with_chunk_merging(merging);
+        .with_chunk_merging(merging)
+        .with_backup_pipeline_threads(0);
     cfg.superchunk_max_members = 8;
-    cfg.backup_pipeline_threads =
-        pipeline_threads().unwrap_or_else(|| bench_network_fast().suggested_pipeline_threads());
-    // SLIM_COMPRESS=off is the A/B baseline without container compression.
-    if let Some(on) = compression() {
-        cfg.compression = on;
-    }
-    // SLIM_HEDGE=N models N OSS endpoints with hedged reads (unset: bare).
-    let storage = StorageLayer::open(apply_hedge(Oss::new(bench_network_fast())));
+    let storage = StorageLayer::open(Arc::new(Oss::new(bench_network_fast())));
     let node = LNode::new(storage.clone(), SimilarFileIndex::new(), cfg).unwrap();
     let mut last = None;
     for v in 0..versions {

@@ -36,77 +36,6 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Batched-I/O fan-out cap from `SLIM_BATCH`.
-///
-/// Unset → `None` (the store's default fan-out). `SLIM_BATCH=0` or
-/// `SLIM_BATCH=off` → `Some(1)`, forcing batched operations down the
-/// sequential path — the A/B knob for regenerating the Fig 10 G-node cycle
-/// numbers with and without batching. Any other integer caps the fan-out.
-pub fn batch_workers() -> Option<usize> {
-    let raw = std::env::var("SLIM_BATCH").ok()?;
-    if raw.eq_ignore_ascii_case("off") {
-        return Some(1);
-    }
-    raw.parse::<usize>().ok().map(|n| n.max(1))
-}
-
-/// Backup-pipeline thread budget from `SLIM_PIPELINE`.
-///
-/// Unset → `None` (experiments size the pipeline from their network model
-/// via `NetworkModel::suggested_pipeline_threads`). `SLIM_PIPELINE=0` or
-/// `SLIM_PIPELINE=off` → `Some(0)`, forcing the sequential backup path —
-/// the A/B knob for the Fig 2 / Fig 6 backup-throughput lines. Any other
-/// integer runs the pipelined plane with that many threads per job.
-pub fn pipeline_threads() -> Option<usize> {
-    let raw = std::env::var("SLIM_PIPELINE").ok()?;
-    if raw.eq_ignore_ascii_case("off") {
-        return Some(0);
-    }
-    raw.parse::<usize>().ok()
-}
-
-/// Hedged-read endpoint count from `SLIM_HEDGE`.
-///
-/// Unset → `None` (today's default: no hedging plane, byte-identical to
-/// historical runs). `SLIM_HEDGE=0` or `SLIM_HEDGE=off` → `Some(0)`, an
-/// explicit "plane wired but disabled" A/B baseline. Any other integer
-/// models that many OSS endpoints with hedged reads — the knob for the
-/// Fig 2 / Fig 6 tail-latency comparison.
-pub fn hedge_endpoints() -> Option<usize> {
-    let raw = std::env::var("SLIM_HEDGE").ok()?;
-    if raw.eq_ignore_ascii_case("off") {
-        return Some(0);
-    }
-    raw.parse::<usize>().ok()
-}
-
-/// Container-compression toggle from `SLIM_COMPRESS`.
-///
-/// Unset → `None` (the config's default). `SLIM_COMPRESS=0` or
-/// `SLIM_COMPRESS=off` → `Some(false)`; anything else → `Some(true)` —
-/// the A/B knob for the Fig 2 / Fig 6 stored-bytes and throughput lines
-/// with and without the per-chunk compression plane.
-pub fn compression() -> Option<bool> {
-    let raw = std::env::var("SLIM_COMPRESS").ok()?;
-    Some(!raw.eq_ignore_ascii_case("off") && raw != "0")
-}
-
-/// Wrap `oss` per the `SLIM_HEDGE` knob: with `n >= 2` endpoints the store
-/// models them and hedged reads race the healthiest pair; otherwise the
-/// bare store is returned unchanged (no wrapper, no extra indirection).
-pub fn apply_hedge(oss: slim_oss::Oss) -> std::sync::Arc<dyn slim_oss::ObjectStore> {
-    match hedge_endpoints() {
-        Some(n) if n >= 2 => {
-            oss.set_endpoints(n);
-            std::sync::Arc::new(slim_oss::HedgedStore::new(
-                std::sync::Arc::new(oss),
-                slim_oss::HedgePolicy::for_endpoints(n),
-            ))
-        }
-        _ => std::sync::Arc::new(oss),
-    }
-}
-
 /// The network model used by throughput experiments: OSS-like latency and
 /// per-channel bandwidth so that network effects (Fig 2, Fig 8, Table II)
 /// are visible, scaled down so runs finish in seconds.

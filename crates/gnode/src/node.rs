@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, HashSet};
 
 use slim_index::{GlobalIndex, SimilarFileIndex};
 use slim_lnode::StorageLayer;
-use slim_telemetry::Scope;
+use slim_telemetry::{Registry, Scope};
 use slim_types::{layout, ContainerId, Result, SlimConfig, SlimError, VersionId};
 
 use crate::collect::{
@@ -169,7 +169,7 @@ pub struct GNode {
     journal: Journal,
     config: SlimConfig,
     meta_cache_capacity: usize,
-    telemetry: Option<Scope>,
+    telemetry: Scope,
 }
 
 impl GNode {
@@ -189,16 +189,16 @@ impl GNode {
             journal,
             config,
             meta_cache_capacity: 1024,
-            telemetry: None,
+            telemetry: Registry::new().scope("gnode"),
         })
     }
 
-    /// Attach a telemetry scope (canonically `gnode`): every cycle stage
-    /// emits a span (`cycle`, `reverse_dedup`, `scc`, `mark`, `collect`,
-    /// `scrub_orphans`, `vacuum`) and each cycle's work counters are added
-    /// to the scope's totals.
+    /// Record into `scope` (canonically `gnode`) instead of the node's
+    /// private registry: every cycle stage emits a span (`cycle`,
+    /// `reverse_dedup`, `scc`, `mark`, `collect`, `scrub_orphans`, `vacuum`)
+    /// and each cycle's work counters are added to the scope's totals.
     pub fn with_telemetry(mut self, scope: Scope) -> Self {
-        self.telemetry = Some(scope);
+        self.telemetry = scope;
         self
     }
 
@@ -209,13 +209,13 @@ impl GNode {
 
     /// Run the full offline cycle for the version that just finished.
     pub fn run_cycle(&self, version: VersionId) -> Result<GNodeCycleStats> {
-        let _cycle = self.telemetry.as_ref().map(|s| s.span("cycle"));
+        let _cycle = self.telemetry.span("cycle");
         let manifest = self.storage.get_manifest(version)?;
         let mut cache = MetaCache::new(self.storage.clone(), self.meta_cache_capacity);
         let mut stats = GNodeCycleStats::default();
 
         // 1. Exact dedup over the new containers.
-        let stage = self.telemetry.as_ref().map(|s| s.span("reverse_dedup"));
+        let stage = self.telemetry.span("reverse_dedup");
         let (reverse_stats, relocations) = reverse_dedup(
             &self.storage,
             &self.global,
@@ -228,7 +228,7 @@ impl GNode {
         drop(stage);
 
         // 2. Compact the containers this version uses sparsely.
-        let stage = self.telemetry.as_ref().map(|s| s.span("scc"));
+        let stage = self.telemetry.span("scc");
         let files: Vec<_> = manifest.files.iter().map(|f| f.file.clone()).collect();
         let (scc_stats, sparse_garbage) = compact_sparse_containers(
             &self.storage,
@@ -247,7 +247,7 @@ impl GNode {
         drop(stage);
 
         // 3. Mark phase for the previous version, if it still exists.
-        let stage = self.telemetry.as_ref().map(|s| s.span("mark"));
+        let stage = self.telemetry.span("mark");
         if version.0 > 0 {
             let prev = VersionId(version.0 - 1);
             if self.storage.get_manifest(prev).is_ok() {
@@ -262,10 +262,10 @@ impl GNode {
         // replicated again; re-tier runs last so replicas and parity reflect
         // the containers' final post-rewrite bytes.
         if self.config.redundancy {
-            let stage = self.telemetry.as_ref().map(|s| s.span("repair"));
+            let stage = self.telemetry.span("repair");
             stats.repair = crate::redundancy::repair_quarantined(&self.storage, &self.global)?;
             drop(stage);
-            let stage = self.telemetry.as_ref().map(|s| s.span("redundancy"));
+            let stage = self.telemetry.span("redundancy");
             stats.redundancy = crate::redundancy::update_redundancy(
                 &self.storage,
                 &self.global,
@@ -275,15 +275,13 @@ impl GNode {
             drop(stage);
         }
 
-        if let Some(scope) = &self.telemetry {
-            stats.emit(scope);
-        }
+        stats.emit(&self.telemetry);
         Ok(stats)
     }
 
     /// Sweep the oldest version (retention-window deletion).
     pub fn collect_version(&self, version: VersionId) -> Result<CollectStats> {
-        let _stage = self.telemetry.as_ref().map(|s| s.span("collect"));
+        let _stage = self.telemetry.span("collect");
         let stats = collect_version(
             &self.storage,
             &self.global,
@@ -291,15 +289,14 @@ impl GNode {
             &self.journal,
             version,
         )?;
-        if let Some(scope) = &self.telemetry {
-            scope
-                .counter("collected_containers")
-                .add(stats.containers_deleted);
-            scope.counter("collected_bytes").add(stats.bytes_reclaimed);
-            scope
-                .counter("collected_recipes")
-                .add(stats.recipes_deleted);
-        }
+        let scope = &self.telemetry;
+        scope
+            .counter("collected_containers")
+            .add(stats.containers_deleted);
+        scope.counter("collected_bytes").add(stats.bytes_reclaimed);
+        scope
+            .counter("collected_recipes")
+            .add(stats.recipes_deleted);
         Ok(stats)
     }
 
@@ -308,17 +305,16 @@ impl GNode {
     /// any G-node maintenance window — committed versions are untouched and
     /// the pass is idempotent. See [`crate::collect::scrub_orphans`].
     pub fn scrub_orphans(&self) -> Result<OrphanScrubStats> {
-        let _stage = self.telemetry.as_ref().map(|s| s.span("scrub_orphans"));
+        let _stage = self.telemetry.span("scrub_orphans");
         let stats = scrub_orphans(&self.storage, Some(&self.global))?;
-        if let Some(scope) = &self.telemetry {
-            scope.counter("scrub_keys_scanned").add(stats.keys_scanned);
-            scope
-                .counter("scrub_objects_reclaimed")
-                .add(stats.objects_reclaimed());
-            scope
-                .counter("scrub_bytes_reclaimed")
-                .add(stats.bytes_reclaimed);
-        }
+        let scope = &self.telemetry;
+        scope.counter("scrub_keys_scanned").add(stats.keys_scanned);
+        scope
+            .counter("scrub_objects_reclaimed")
+            .add(stats.objects_reclaimed());
+        scope
+            .counter("scrub_bytes_reclaimed")
+            .add(stats.bytes_reclaimed);
         Ok(stats)
     }
 
@@ -327,7 +323,7 @@ impl GNode {
     /// defers physical deletion to batch it (§VI-A); vacuum is the batch —
     /// run it when storage cost matters more than offline I/O.
     pub fn vacuum(&self) -> Result<ReverseDedupStats> {
-        let _stage = self.telemetry.as_ref().map(|s| s.span("vacuum"));
+        let _stage = self.telemetry.span("vacuum");
         let mut cache = MetaCache::new(self.storage.clone(), self.meta_cache_capacity);
         let mut stats = ReverseDedupStats::default();
         let mut zero_threshold = self.config.clone();
@@ -371,7 +367,7 @@ impl GNode {
     /// metadata (ascending id order, so the newest live copy wins — the
     /// reverse-dedup invariant).
     pub fn recover(&self) -> Result<RecoveryReport> {
-        let _stage = self.telemetry.as_ref().map(|s| s.span("recover"));
+        let _stage = self.telemetry.span("recover");
         let mut report = RecoveryReport::default();
 
         let (pending, corrupt) = self.journal.pending()?;
@@ -475,32 +471,31 @@ impl GNode {
             report.objects_quarantined += objects_quarantined;
         }
 
-        if let Some(scope) = &self.telemetry {
-            scope
-                .counter("journal.replayed")
-                .add(report.intents_replayed);
-            scope
-                .counter("journal.rolled_forward")
-                .add(report.rewrites_rolled_forward);
-            scope
-                .counter("journal.rolled_back")
-                .add(report.rewrites_rolled_back);
-            scope
-                .counter("journal.corrupt")
-                .add(report.journal_records_quarantined);
-            scope
-                .counter("quarantined_objects")
-                .add(report.objects_quarantined);
-            scope
-                .counter("index.tables_quarantined")
-                .add(report.index_tables_quarantined);
-            scope
-                .counter("index.tables_retired")
-                .add(report.index_tables_retired);
-            scope
-                .counter("index.entries_rederived")
-                .add(report.index_entries_rederived);
-        }
+        let scope = &self.telemetry;
+        scope
+            .counter("journal.replayed")
+            .add(report.intents_replayed);
+        scope
+            .counter("journal.rolled_forward")
+            .add(report.rewrites_rolled_forward);
+        scope
+            .counter("journal.rolled_back")
+            .add(report.rewrites_rolled_back);
+        scope
+            .counter("journal.corrupt")
+            .add(report.journal_records_quarantined);
+        scope
+            .counter("quarantined_objects")
+            .add(report.objects_quarantined);
+        scope
+            .counter("index.tables_quarantined")
+            .add(report.index_tables_quarantined);
+        scope
+            .counter("index.tables_retired")
+            .add(report.index_tables_retired);
+        scope
+            .counter("index.entries_rederived")
+            .add(report.index_entries_rederived);
         Ok(report)
     }
 
@@ -511,7 +506,7 @@ impl GNode {
     /// This is the heavy half of `slim scrub`; [`GNode::recover`] only
     /// verifies what the journal implicates.
     pub fn verify_checksums(&self) -> Result<IntegrityReport> {
-        let _stage = self.telemetry.as_ref().map(|s| s.span("verify_checksums"));
+        let _stage = self.telemetry.span("verify_checksums");
         let mut report = IntegrityReport::default();
         let mut doomed: HashSet<ContainerId> = HashSet::new();
         let mut ids = self.storage.list_containers();
@@ -525,17 +520,16 @@ impl GNode {
             }
         }
         report.index_entries_removed = self.global.remove_references_to(&doomed)?;
-        if let Some(scope) = &self.telemetry {
-            scope
-                .counter("integrity.containers_checked")
-                .add(report.containers_checked);
-            scope
-                .counter("quarantined_objects")
-                .add(report.objects_quarantined);
-            scope
-                .counter("integrity.index_entries_removed")
-                .add(report.index_entries_removed);
-        }
+        let scope = &self.telemetry;
+        scope
+            .counter("integrity.containers_checked")
+            .add(report.containers_checked);
+        scope
+            .counter("quarantined_objects")
+            .add(report.objects_quarantined);
+        scope
+            .counter("integrity.index_entries_removed")
+            .add(report.index_entries_removed);
         Ok(report)
     }
 
@@ -548,30 +542,29 @@ impl GNode {
     /// kill at any point re-runs cleanly after [`GNode::recover`].
     pub fn repair(&self) -> Result<(IntegrityReport, RepairReport)> {
         let integrity = self.verify_checksums()?;
-        let stage = self.telemetry.as_ref().map(|s| s.span("repair"));
+        let stage = self.telemetry.span("repair");
         let repair = crate::redundancy::repair_quarantined(&self.storage, &self.global)?;
         drop(stage);
-        if let Some(scope) = &self.telemetry {
-            scope
-                .counter("repair.containers_repaired")
-                .add(repair.containers_repaired);
-            scope
-                .counter("repair.containers_unrepairable")
-                .add(repair.containers_unrepairable);
-            scope
-                .counter("repair.objects_rewritten")
-                .add(repair.objects_rewritten);
-            scope
-                .counter("repair.index_entries_restored")
-                .add(repair.index_entries_restored);
-        }
+        let scope = &self.telemetry;
+        scope
+            .counter("repair.containers_repaired")
+            .add(repair.containers_repaired);
+        scope
+            .counter("repair.containers_unrepairable")
+            .add(repair.containers_unrepairable);
+        scope
+            .counter("repair.objects_rewritten")
+            .add(repair.objects_rewritten);
+        scope
+            .counter("repair.index_entries_restored")
+            .add(repair.index_entries_restored);
         Ok((integrity, repair))
     }
 
     /// Re-tier the redundancy plane to the current dedup state without
     /// running a full cycle (see [`crate::redundancy::update_redundancy`]).
     pub fn update_redundancy(&self) -> Result<RedundancyStats> {
-        let _stage = self.telemetry.as_ref().map(|s| s.span("redundancy"));
+        let _stage = self.telemetry.span("redundancy");
         crate::redundancy::update_redundancy(
             &self.storage,
             &self.global,
@@ -722,7 +715,7 @@ mod tests {
     use slim_lnode::backup::BackupPipeline;
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
     use slim_oss::rocks::RocksConfig;
-    use slim_oss::Oss;
+    use slim_oss::{ObjectStore, Oss};
     use slim_types::{FileId, VersionManifest};
     use std::sync::Arc;
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use slim_chunking::{ChunkSpec, Chunker, FastCdcChunker, FixedChunker, GearChunker, RabinChunker};
 use slim_index::{GlobalIndex, SimilarFileIndex};
-use slim_telemetry::Scope;
+use slim_telemetry::{Registry, Scope};
 use slim_types::{FileId, Result, SlimConfig, VersionId};
 
 use crate::backup::{BackupOutcome, BackupPipeline};
@@ -39,7 +39,7 @@ pub struct LNode {
     similar: SimilarFileIndex,
     config: SlimConfig,
     chunker: Arc<dyn Chunker>,
-    telemetry: Option<Scope>,
+    telemetry: Scope,
 }
 
 impl LNode {
@@ -73,32 +73,23 @@ impl LNode {
             similar,
             config,
             chunker,
-            telemetry: None,
+            telemetry: Registry::new().scope("lnode"),
         })
     }
 
-    /// Attach a telemetry scope (canonically `lnode.<id>`): every job this
-    /// node runs folds its phase timings into the scope's span histograms
-    /// (`chunking`, `fingerprinting`, `index`, `container_io`, …) and its
-    /// counters into the shared registry.
+    /// Record into `scope` (canonically `lnode.<id>`) instead of the
+    /// node's private registry: every job this node runs folds its phase
+    /// timings into the scope's span histograms (`chunking`,
+    /// `fingerprinting`, `index`, `container_io`, …) and its counters into
+    /// the shared registry.
     pub fn with_telemetry(mut self, scope: Scope) -> Self {
-        self.telemetry = Some(scope);
+        self.telemetry = scope;
         self
-    }
-
-    /// The telemetry scope attached to this node, if any.
-    pub fn telemetry(&self) -> Option<&Scope> {
-        self.telemetry.as_ref()
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &SlimConfig {
         &self.config
-    }
-
-    /// The shared storage layer.
-    pub fn storage(&self) -> &StorageLayer {
-        &self.storage
     }
 
     /// Run a backup job for one file.
@@ -115,9 +106,7 @@ impl LNode {
             &self.config,
         )
         .backup_file(file, version, data)?;
-        if let Some(scope) = &self.telemetry {
-            outcome.stats.emit(scope);
-        }
+        outcome.stats.emit(&self.telemetry);
         Ok(outcome)
     }
 
@@ -146,10 +135,24 @@ impl LNode {
     ) -> Result<(Vec<u8>, RestoreStats)> {
         let (data, stats) =
             RestoreEngine::new(&self.storage, global).restore_file(file, version, options)?;
-        if let Some(scope) = &self.telemetry {
-            stats.emit(scope);
-        }
+        stats.emit(&self.telemetry);
         Ok((data, stats))
+    }
+
+    /// Run a restore job that streams the file into `sink` (constant output
+    /// memory; the restore cache is the only buffer).
+    pub fn restore_file_to(
+        &self,
+        file: &FileId,
+        version: VersionId,
+        global: Option<&GlobalIndex>,
+        options: &RestoreOptions,
+        sink: &mut dyn std::io::Write,
+    ) -> Result<RestoreStats> {
+        let stats = RestoreEngine::new(&self.storage, global)
+            .restore_file_to(file, version, options, sink)?;
+        stats.emit(&self.telemetry);
+        Ok(stats)
     }
 }
 

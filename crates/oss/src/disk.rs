@@ -33,26 +33,12 @@ pub struct LocalDiskOss {
 impl LocalDiskOss {
     /// Open (creating if needed) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
-        Self::open_with_metrics(root, OssMetrics::default())
-    }
-
-    /// Open a store whose traffic counters are registered under `scope`
-    /// (canonically `"oss"`), so disk-backed repositories report the same
-    /// telemetry names as the simulated [`crate::Oss`].
-    pub fn open_with_telemetry(
-        root: impl Into<PathBuf>,
-        scope: &slim_telemetry::Scope,
-    ) -> Result<Self> {
-        Self::open_with_metrics(root, OssMetrics::new(scope))
-    }
-
-    fn open_with_metrics(root: impl Into<PathBuf>, metrics: OssMetrics) -> Result<Self> {
         let root = root.into();
         fs::create_dir_all(&root)?;
         Ok(LocalDiskOss {
             root,
             tmp_counter: AtomicU64::new(0),
-            metrics,
+            metrics: OssMetrics::default(),
         })
     }
 

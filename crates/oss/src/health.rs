@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use slim_telemetry::{Gauge, Histogram, Scope};
+use slim_telemetry::{Gauge, Histogram, Registry, Scope};
 
 /// EWMA smoothing: each sample moves the average by 1/8 of the distance.
 const EWMA_SHIFT: u32 = 3;
@@ -33,11 +33,8 @@ struct EndpointHealth {
 }
 
 impl EndpointHealth {
-    fn new(scope: Option<&Scope>, endpoint: usize) -> Self {
-        let gauge = |name: &str| match scope {
-            Some(scope) => scope.gauge(&format!("health.{endpoint}.{name}")),
-            None => Gauge::detached(),
-        };
+    fn new(scope: &Scope, endpoint: usize) -> Self {
+        let gauge = |name: &str| scope.gauge(&format!("health.{endpoint}.{name}"));
         EndpointHealth {
             latency_ewma: AtomicU64::new(0),
             error_permille: AtomicU64::new(0),
@@ -107,10 +104,10 @@ pub struct HealthTracker {
 impl HealthTracker {
     const REFRESH_EVERY: u64 = 32;
 
-    /// A tracker for `endpoints` endpoints with detached (unregistered)
-    /// gauges.
+    /// A tracker for `endpoints` endpoints with gauges in a private
+    /// registry.
     pub fn new(endpoints: usize) -> Self {
-        HealthTracker::build(endpoints, None)
+        HealthTracker::with_telemetry(endpoints, &Registry::new().scope("oss"))
     }
 
     /// A tracker whose gauges live under `scope` (canonically `"oss"`,
@@ -118,17 +115,10 @@ impl HealthTracker {
     /// score}`) and whose pooled latency histogram is
     /// `<scope>.health.latency_nanos`.
     pub fn with_telemetry(endpoints: usize, scope: &Scope) -> Self {
-        HealthTracker::build(endpoints, Some(scope))
-    }
-
-    fn build(endpoints: usize, scope: Option<&Scope>) -> Self {
         let n = endpoints.max(1);
         HealthTracker {
             endpoints: (0..n).map(|i| EndpointHealth::new(scope, i)).collect(),
-            latency: match scope {
-                Some(scope) => scope.histogram("health.latency_nanos"),
-                None => Histogram::detached(),
-            },
+            latency: scope.histogram("health.latency_nanos"),
             cached_delay: AtomicU64::new(0),
             cached_generation: AtomicU64::new(0),
         }

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use slim_telemetry::{Counter, Histogram, Scope};
+use slim_telemetry::{Counter, Histogram, Registry, Scope};
 use slim_types::{Deadline, Result, SlimError};
 
 use crate::endpoint;
@@ -107,25 +107,19 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// Breakers for `endpoints` endpoints with detached counters.
+    /// Breakers for `endpoints` endpoints with counters in a private
+    /// registry.
     pub fn new(endpoints: usize, policy: BreakerPolicy) -> Self {
-        CircuitBreaker::build(endpoints, policy, None)
+        CircuitBreaker::with_telemetry(endpoints, policy, &Registry::new().scope("oss"))
     }
 
     /// Breakers whose counters live under `scope` as `breaker.{opened,
     /// closed,probes,shed}` (canonically `oss.breaker.*`).
-    pub fn with_telemetry(endpoints: usize, policy: BreakerPolicy, scope: &Scope) -> Self {
-        CircuitBreaker::build(endpoints, policy, Some(scope))
-    }
-
-    fn build(endpoints: usize, mut policy: BreakerPolicy, scope: Option<&Scope>) -> Self {
+    pub fn with_telemetry(endpoints: usize, mut policy: BreakerPolicy, scope: &Scope) -> Self {
         policy.failure_threshold = policy.failure_threshold.max(1);
         policy.open_ops = policy.open_ops.max(1);
         policy.success_to_close = policy.success_to_close.max(1);
-        let counter = |name: &str| match scope {
-            Some(scope) => scope.counter(&format!("breaker.{name}")),
-            None => Counter::detached(),
-        };
+        let counter = |name: &str| scope.counter(&format!("breaker.{name}"));
         CircuitBreaker {
             states: (0..endpoints.max(1))
                 .map(|_| {
@@ -298,15 +292,9 @@ struct HedgeMetrics {
 }
 
 impl HedgeMetrics {
-    fn new(scope: Option<&Scope>) -> Self {
-        let counter = |name: &str| match scope {
-            Some(scope) => scope.counter(&format!("hedge.{name}")),
-            None => Counter::detached(),
-        };
-        let histogram = |name: &str| match scope {
-            Some(scope) => scope.histogram(&format!("hedge.{name}")),
-            None => Histogram::detached(),
-        };
+    fn new(scope: &Scope) -> Self {
+        let counter = |name: &str| scope.counter(&format!("hedge.{name}"));
+        let histogram = |name: &str| scope.histogram(&format!("hedge.{name}"));
         HedgeMetrics {
             issued: counter("issued"),
             won: counter("won"),
@@ -433,32 +421,20 @@ pub struct HedgedStore {
 }
 
 impl HedgedStore {
-    /// Wrap `inner` with detached (unregistered) metrics.
+    /// Wrap `inner` with metrics in a private registry.
     pub fn new(inner: Arc<dyn ObjectStore>, policy: HedgePolicy) -> Self {
-        HedgedStore::build(inner, policy, None)
+        HedgedStore::with_telemetry(inner, policy, &Registry::new().scope("oss"))
     }
 
     /// Wrap `inner` with metrics under `scope` (canonically `"oss"`,
     /// yielding `oss.hedge.*`, `oss.breaker.*` and `oss.health.*`).
     pub fn with_telemetry(inner: Arc<dyn ObjectStore>, policy: HedgePolicy, scope: &Scope) -> Self {
-        HedgedStore::build(inner, policy, Some(scope))
-    }
-
-    fn build(inner: Arc<dyn ObjectStore>, policy: HedgePolicy, scope: Option<&Scope>) -> Self {
         let endpoints = policy.endpoints.max(1);
         HedgedStore {
             shared: Arc::new(Shared {
                 inner,
-                health: match scope {
-                    Some(scope) => HealthTracker::with_telemetry(endpoints, scope),
-                    None => HealthTracker::new(endpoints),
-                },
-                breaker: match scope {
-                    Some(scope) => {
-                        CircuitBreaker::with_telemetry(endpoints, policy.breaker.clone(), scope)
-                    }
-                    None => CircuitBreaker::new(endpoints, policy.breaker.clone()),
-                },
+                health: HealthTracker::with_telemetry(endpoints, scope),
+                breaker: CircuitBreaker::with_telemetry(endpoints, policy.breaker.clone(), scope),
                 metrics: HedgeMetrics::new(scope),
                 policy,
                 ties: AtomicU64::new(0),

@@ -53,4 +53,4 @@ pub use namespace::NamespacedStore;
 pub use network::NetworkModel;
 pub use redundant::{reconstruct_object, RedundancyMetrics, RedundantStore, RepairSource};
 pub use retry::{next_jitter_salt, RetryMetrics, RetryPolicy, RetryingStore};
-pub use store::{ObjectStore, Oss, DEFAULT_BATCH_WORKERS};
+pub use store::{ObjectStore, Oss};

@@ -5,8 +5,10 @@
 //! counters like these. Since PR 2 the counters are registry-backed
 //! [`slim_telemetry`] handles: all L-node/G-node threads share one
 //! instance without locking, and the same values appear under the `oss.*`
-//! names in [`slim_telemetry::TelemetrySnapshot`]s. The [`OssMetrics`] /
-//! [`MetricsSnapshot`] API is kept as a thin view over the registry.
+//! names in [`slim_telemetry::TelemetrySnapshot`]s. [`MetricsSnapshot`] is
+//! the plain-struct copy [`crate::ObjectStore::metrics_snapshot`] returns,
+//! so a store that does not share the deployment's registry can still be
+//! overlaid into its snapshots ([`MetricsSnapshot::overlay_into`]).
 
 use std::time::Duration;
 
@@ -59,9 +61,8 @@ pub struct OssMetrics {
 }
 
 impl OssMetrics {
-    /// Names used by this view, relative to its scope. Keeping them in
-    /// one place ties [`OssMetrics::new`], [`MetricsSnapshot::from_telemetry`],
-    /// and [`MetricsSnapshot::overlay_into`] together.
+    /// Names used by this view, relative to its scope, in the order
+    /// [`MetricsSnapshot::overlay_into`] writes them.
     const COUNTERS: [&'static str; 8] = [
         "get_requests",
         "put_requests",
@@ -214,29 +215,6 @@ impl MetricsSnapshot {
         self.get_requests + self.put_requests + self.delete_requests
     }
 
-    /// Reconstruct the OSS view from a telemetry snapshot (or snapshot
-    /// delta) containing `oss.*` counters; retry counters are folded in
-    /// from the `retry.*` scope when present. Returns `None` when the
-    /// snapshot carries no OSS section at all.
-    pub fn from_telemetry(snap: &TelemetrySnapshot) -> Option<MetricsSnapshot> {
-        if !snap.counters.keys().any(|k| k.starts_with("oss.")) {
-            return None;
-        }
-        Some(MetricsSnapshot {
-            get_requests: snap.counter("oss.get_requests"),
-            put_requests: snap.counter("oss.put_requests"),
-            delete_requests: snap.counter("oss.delete_requests"),
-            bytes_read: snap.counter("oss.bytes_read"),
-            bytes_written: snap.counter("oss.bytes_written"),
-            net_time: Duration::from_nanos(snap.counter("oss.net_time_nanos")),
-            injected_faults: snap.counter("oss.injected_faults"),
-            injected_delay: Duration::from_nanos(snap.counter("oss.injected_delay_nanos")),
-            retries: snap.counter("retry.retries"),
-            giveups: snap.counter("retry.giveups"),
-            retry_bytes: snap.counter("retry.retry_bytes"),
-        })
-    }
-
     /// Write this snapshot into `snap` under the canonical `oss.*` /
     /// `retry.*` counter names. Used when an externally-supplied object
     /// store does not share the main registry: its own counters are
@@ -311,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_round_trip_via_overlay() {
+    fn overlay_writes_the_canonical_names() {
         let m = OssMetrics::default();
         m.record_get(100, Duration::from_millis(2));
         m.record_put(50, Duration::from_millis(1));
@@ -320,8 +298,18 @@ mod tests {
         view.retry_bytes = 150;
 
         let mut snap = TelemetrySnapshot::default();
-        assert_eq!(MetricsSnapshot::from_telemetry(&snap), None);
         view.overlay_into(&mut snap);
-        assert_eq!(MetricsSnapshot::from_telemetry(&snap), Some(view));
+        assert_eq!(snap.counter("oss.get_requests"), 1);
+        assert_eq!(snap.counter("oss.put_requests"), 1);
+        assert_eq!(snap.counter("oss.delete_requests"), 0);
+        assert_eq!(snap.counter("oss.bytes_read"), 100);
+        assert_eq!(snap.counter("oss.bytes_written"), 50);
+        assert_eq!(snap.counter("oss.net_time_nanos"), 3_000_000);
+        assert_eq!(snap.counter("oss.injected_faults"), 0);
+        assert_eq!(snap.counter("oss.injected_delay_nanos"), 0);
+        assert_eq!(snap.counter("retry.retries"), 3);
+        assert_eq!(snap.counter("retry.giveups"), 0);
+        assert_eq!(snap.counter("retry.retry_bytes"), 150);
+        assert_eq!(snap.counters.len(), 11, "nothing else is written");
     }
 }

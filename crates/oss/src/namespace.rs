@@ -21,8 +21,10 @@ pub struct NamespacedStore {
 }
 
 impl NamespacedStore {
-    /// Scope `inner` to tenant `name` (letters, digits, `-`, `_`, `.`).
-    pub fn new(inner: Arc<dyn ObjectStore>, name: &str) -> Result<Self> {
+    /// Whether `name` is a usable tenant name (letters, digits, `-`, `_`,
+    /// `.`), checked where the name enters so a bad one fails before any
+    /// store is built.
+    pub fn validate_name(name: &str) -> Result<()> {
         if name.is_empty()
             || !name
                 .chars()
@@ -32,6 +34,12 @@ impl NamespacedStore {
                 "invalid tenant name {name:?} (use [A-Za-z0-9._-]+)"
             )));
         }
+        Ok(())
+    }
+
+    /// Scope `inner` to tenant `name` (see [`NamespacedStore::validate_name`]).
+    pub fn new(inner: Arc<dyn ObjectStore>, name: &str) -> Result<Self> {
+        Self::validate_name(name)?;
         Ok(NamespacedStore {
             inner,
             prefix: format!("tenants/{name}/"),

@@ -64,16 +64,6 @@ impl NetworkModel {
         }
         Duration::from_secs_f64(bytes as f64 / self.channel_bandwidth as f64)
     }
-
-    /// Suggested `backup_pipeline_threads` for a deployment on this network:
-    /// the same coupling idea as `FrontendConfig::coupled_to_network`, from
-    /// the other side. One backup job cannot usefully keep more uploads in
-    /// flight than the network has channels, and past a handful of CPU-side
-    /// workers the in-order dedup stage is the bottleneck anyway, so the
-    /// suggestion is the channel count clamped to a small constant.
-    pub fn suggested_pipeline_threads(&self) -> usize {
-        self.channels.clamp(1, 8)
-    }
 }
 
 /// A counting semaphore bounding concurrent transfers ("channels").
@@ -146,18 +136,6 @@ mod tests {
         };
         assert_eq!(m.transfer_time(1024), Duration::from_secs(1));
         assert_eq!(m.transfer_time(512), Duration::from_millis(500));
-    }
-
-    #[test]
-    fn suggested_pipeline_threads_tracks_channels() {
-        assert_eq!(NetworkModel::oss_like().suggested_pipeline_threads(), 8);
-        assert_eq!(NetworkModel::instant().suggested_pipeline_threads(), 8);
-        let narrow = NetworkModel {
-            request_latency: Duration::ZERO,
-            channel_bandwidth: 1024,
-            channels: 3,
-        };
-        assert_eq!(narrow.suggested_pipeline_threads(), 3);
     }
 
     #[test]

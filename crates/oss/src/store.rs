@@ -11,8 +11,8 @@
 //! Multi-object sweeps (reverse dedup, GC, compaction, space accounting) go
 //! through the `*_many` methods of [`ObjectStore`]: per-item `Result`s in
 //! input order, driven in [`Oss`] by a bounded worker pool so up to
-//! `channels` requests overlap their round-trip latency (§III-A: OSS
-//! throughput comes from request concurrency). Fault decisions are drawn
+//! `min(channels, 64)` requests overlap their round-trip latency (§III-A:
+//! OSS throughput comes from request concurrency). Fault decisions are drawn
 //! sequentially in input order *before* the fan-out starts, so seeded fault
 //! schedules and all byte/request counters are identical to the equivalent
 //! sequential loop — batching changes scheduling, not which bytes move.
@@ -30,9 +30,11 @@ use crate::fault::{Corruption, FaultDecision, FaultErrorKind, FaultPlan, FaultSt
 use crate::metrics::OssMetrics;
 use crate::network::{ChannelPool, NetworkModel};
 
-/// Default bound on the worker fan-out of batched [`Oss`] operations,
-/// matching the channel count of [`NetworkModel::oss_like`].
-pub const DEFAULT_BATCH_WORKERS: usize = 64;
+/// Upper bound on the worker fan-out of batched [`Oss`] operations (the
+/// channel count of [`NetworkModel::oss_like`]). The network model's own
+/// channel count is not enough of a bound: [`NetworkModel::instant`] has
+/// `usize::MAX` channels and would spawn one thread per batch item.
+const MAX_BATCH_WORKERS: usize = 64;
 
 /// Object-store interface used by every SLIMSTORE component.
 ///
@@ -119,7 +121,6 @@ struct Inner {
     channels: ChannelPool,
     metrics: OssMetrics,
     faults: FaultState,
-    batch_cap: AtomicUsize,
     /// Number of simulated service endpoints (≥ 1). Endpoints share the
     /// object map; they only differentiate fault injection and health
     /// accounting (see [`crate::endpoint`]).
@@ -165,7 +166,6 @@ impl Oss {
                 channels,
                 metrics,
                 faults: FaultState::default(),
-                batch_cap: AtomicUsize::new(DEFAULT_BATCH_WORKERS),
                 endpoints: AtomicUsize::new(1),
                 rr: AtomicU64::new(0),
             }),
@@ -185,20 +185,6 @@ impl Oss {
     /// The network model in force.
     pub fn network(&self) -> &NetworkModel {
         &self.inner.network
-    }
-
-    /// Bound the worker fan-out of batched (`*_many`) operations. `1`
-    /// forces the sequential path through the same code (the A/B knob for
-    /// measuring what batching buys); the effective fan-out is always
-    /// additionally clamped to the batch size and the network model's
-    /// channel count.
-    pub fn set_batch_workers(&self, cap: usize) {
-        self.inner.batch_cap.store(cap.max(1), Ordering::Relaxed);
-    }
-
-    /// Current fan-out bound of batched operations.
-    pub fn batch_workers(&self) -> usize {
-        self.inner.batch_cap.load(Ordering::Relaxed)
     }
 
     /// Model `n` distinct service endpoints (clamped to at least one).
@@ -421,8 +407,7 @@ impl Oss {
             .collect();
         let workers = n
             .min(self.inner.network.channels.max(1))
-            .min(self.inner.batch_cap.load(Ordering::Relaxed))
-            .max(1);
+            .min(MAX_BATCH_WORKERS);
         self.inner.metrics.record_batch(n, workers);
         if workers <= 1 {
             return items
@@ -828,12 +813,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_workers_knob_clamps_and_reports() {
-        let oss = Oss::in_memory();
-        assert_eq!(oss.batch_workers(), DEFAULT_BATCH_WORKERS);
-        oss.set_batch_workers(0);
-        assert_eq!(oss.batch_workers(), 1, "clamped to at least one worker");
-        oss.set_batch_workers(4);
+    fn batch_fanout_is_bounded_by_the_channel_count() {
+        let oss = Oss::new(NetworkModel {
+            channels: 4,
+            ..NetworkModel::instant()
+        });
         let keys = batch_keys(8);
         for k in &keys {
             oss.put(k, Bytes::from_static(b"v")).unwrap();
@@ -842,7 +826,7 @@ mod tests {
             r.unwrap();
         }
         let hist = oss.metrics().batch_fanout.snapshot();
-        assert_eq!(hist.max, 4, "fan-out honors the knob");
+        assert_eq!(hist.max, 4, "fan-out never exceeds the channels");
         assert_eq!(oss.metrics().batch_items.get(), 8);
     }
 

@@ -13,7 +13,7 @@ use slim_index::{GlobalIndex, SimilarFileIndex};
 use slim_lnode::node::ChunkerKind;
 use slim_lnode::restore::RestoreOptions;
 use slim_lnode::{BackupOutcome, LNode, RestoreStats, StorageLayer};
-use slim_telemetry::Scope;
+use slim_telemetry::{Registry, Scope};
 use slim_types::{FileId, Result, SlimConfig, VersionId};
 
 /// The pool of online processing nodes.
@@ -25,11 +25,12 @@ pub struct ComputeLayer {
     chunker: ChunkerKind,
     /// Parent telemetry scope; node `i` gets the child scope `<scope>.<i>`
     /// (canonically `lnode.<i>`).
-    telemetry: Option<Scope>,
+    telemetry: Scope,
 }
 
 impl ComputeLayer {
-    /// A compute layer with `nodes` L-nodes.
+    /// A compute layer with `nodes` L-nodes recording into a private
+    /// registry.
     pub fn new(
         storage: StorageLayer,
         similar: SimilarFileIndex,
@@ -37,18 +38,19 @@ impl ComputeLayer {
         chunker: ChunkerKind,
         nodes: usize,
     ) -> Result<Self> {
-        Self::with_telemetry(storage, similar, config, chunker, nodes, None)
+        let telemetry = Registry::new().scope("lnode");
+        Self::with_telemetry(storage, similar, config, chunker, nodes, telemetry)
     }
 
     /// A compute layer whose L-nodes fold job stats into per-node child
-    /// scopes of `telemetry` (when given).
+    /// scopes of `telemetry`.
     pub fn with_telemetry(
         storage: StorageLayer,
         similar: SimilarFileIndex,
         config: SlimConfig,
         chunker: ChunkerKind,
         nodes: usize,
-        telemetry: Option<Scope>,
+        telemetry: Scope,
     ) -> Result<Self> {
         let mut layer = ComputeLayer {
             nodes: Vec::new(),
@@ -72,15 +74,13 @@ impl ComputeLayer {
     pub fn scale_to(&mut self, n: usize) -> Result<()> {
         let n = n.max(1);
         while self.nodes.len() < n {
-            let mut node = LNode::with_chunker(
+            let node = LNode::with_chunker(
                 self.storage.clone(),
                 self.similar.clone(),
                 self.config.clone(),
                 self.chunker,
-            )?;
-            if let Some(scope) = &self.telemetry {
-                node = node.with_telemetry(scope.child(&self.nodes.len().to_string()));
-            }
+            )?
+            .with_telemetry(self.telemetry.child(&self.nodes.len().to_string()));
             self.nodes.push(Arc::new(node));
         }
         self.nodes.truncate(n);

@@ -10,7 +10,7 @@ use slim_lnode::node::ChunkerKind;
 use slim_lnode::restore::RestoreOptions;
 use slim_lnode::{BackupStats, RestoreStats, StorageLayer};
 use slim_oss::rocks::RocksConfig;
-use slim_oss::{MetricsSnapshot, NetworkModel, ObjectStore, Oss};
+use slim_oss::{NetworkModel, ObjectStore, Oss};
 use slim_telemetry::{Registry, TelemetrySnapshot};
 use slim_types::{FileId, Result, SlimConfig, SlimError, VersionId, VersionManifest};
 
@@ -20,12 +20,12 @@ use crate::space::SpaceReport;
 /// Builder for a [`SlimStore`] deployment.
 pub struct SlimStoreBuilder {
     oss: Option<Arc<dyn ObjectStore>>,
+    tenant: Option<String>,
     network: NetworkModel,
     config: SlimConfig,
     l_nodes: usize,
     chunker: ChunkerKind,
     rocks: RocksConfig,
-    batch_workers: Option<usize>,
 }
 
 impl SlimStoreBuilder {
@@ -33,12 +33,12 @@ impl SlimStoreBuilder {
     pub fn in_memory() -> Self {
         SlimStoreBuilder {
             oss: None,
+            tenant: None,
             network: NetworkModel::instant(),
             config: SlimConfig::default(),
             l_nodes: 1,
             chunker: ChunkerKind::FastCdc,
             rocks: RocksConfig::default(),
-            batch_workers: None,
         }
     }
 
@@ -55,15 +55,12 @@ impl SlimStoreBuilder {
     }
 
     /// Scope the deployment to a tenant namespace within the attached (or
-    /// default) object store: two deployments with different tenant names
-    /// share the bucket but nothing else — the paper's per-user service
-    /// model (§III-B).
+    /// internally built) object store: two deployments with different
+    /// tenant names share the bucket but nothing else — the paper's
+    /// per-user service model (§III-B). An invalid name fails here.
     pub fn with_tenant(mut self, name: &str) -> Result<Self> {
-        let base: Arc<dyn ObjectStore> = match self.oss.take() {
-            Some(oss) => oss,
-            None => Arc::new(Oss::new(self.network.clone())),
-        };
-        self.oss = Some(Arc::new(slim_oss::NamespacedStore::new(base, name)?));
+        slim_oss::NamespacedStore::validate_name(name)?;
+        self.tenant = Some(name.to_string());
         Ok(self)
     }
 
@@ -91,93 +88,55 @@ impl SlimStoreBuilder {
         self
     }
 
-    /// Cap the worker fan-out of batched OSS operations on the internally
-    /// built simulated store (`1` disables batching — the A/B knob for the
-    /// Fig 10 G-node cycle numbers). Ignored when an external object store
-    /// is attached via [`SlimStoreBuilder::with_object_store`].
-    pub fn with_batch_workers(mut self, cap: usize) -> Self {
-        self.batch_workers = Some(cap);
-        self
-    }
-
-    /// Assemble the deployment.
+    /// Assemble the deployment: base store → hedging → tenant namespace →
+    /// redundancy → retries, every layer recording into one registry.
     pub fn build(self) -> Result<SlimStore> {
         self.config.validate()?;
         let registry = Registry::new();
-        let enabled = self.config.telemetry;
-        let oss: Arc<dyn ObjectStore> = match self.oss {
-            Some(oss) => oss,
-            None => {
-                let oss = if enabled {
-                    Oss::with_telemetry(self.network, &registry.scope("oss"))
-                } else {
-                    Oss::new(self.network)
-                };
-                if let Some(cap) = self.batch_workers {
-                    oss.set_batch_workers(cap);
-                }
-                oss.set_endpoints(self.config.oss_endpoints);
-                let oss: Arc<dyn ObjectStore> = Arc::new(oss);
-                // Gray-failure resilience plane (internally built stores
-                // only, like `with_batch_workers`: an attached external
-                // store keeps whatever wrapping its owner chose). The plane
-                // stays inert until the pooled read-latency quantile clears
-                // its activation floor, so fast test stores see exactly one
-                // inner call per operation.
-                if self.config.hedged_reads && self.config.oss_endpoints > 1 {
-                    let policy = slim_oss::HedgePolicy::for_endpoints(self.config.oss_endpoints);
-                    if enabled {
-                        Arc::new(slim_oss::HedgedStore::with_telemetry(
-                            oss,
-                            policy,
-                            &registry.scope("oss"),
-                        ))
-                    } else {
-                        Arc::new(slim_oss::HedgedStore::new(oss, policy))
-                    }
-                } else {
-                    oss
-                }
-            }
-        };
+        let oss_scope = registry.scope("oss");
+        // An attached store keeps whatever endpoints and hedging its owner
+        // chose; this is the only place a base store is built.
+        let internal = self.oss.is_none();
+        let mut oss: Arc<dyn ObjectStore> = self.oss.unwrap_or_else(|| {
+            let base = Oss::with_telemetry(self.network, &oss_scope);
+            base.set_endpoints(self.config.oss_endpoints);
+            Arc::new(base)
+        });
+        // Gray-failure resilience plane. It stays inert until the pooled
+        // read-latency quantile clears its activation floor, so fast test
+        // stores see exactly one inner call per operation.
+        if internal && self.config.hedged_reads && self.config.oss_endpoints > 1 {
+            let policy = slim_oss::HedgePolicy::for_endpoints(self.config.oss_endpoints);
+            oss = Arc::new(slim_oss::HedgedStore::with_telemetry(
+                oss, policy, &oss_scope,
+            ));
+        }
+        if let Some(tenant) = &self.tenant {
+            oss = Arc::new(slim_oss::NamespacedStore::new(oss, tenant)?);
+        }
         // Self-healing redundancy plane (whether the store was built here or
         // attached by the caller): a protected container read that fails its
         // CRC or went missing reconstructs from replica/parity copies, is
         // served byte-identical, and read-repairs the primary in place.
-        let oss: Arc<dyn ObjectStore> = if self.config.redundancy {
-            if enabled {
-                Arc::new(slim_oss::RedundantStore::with_telemetry(
-                    oss,
-                    &registry.scope("oss"),
-                ))
-            } else {
-                Arc::new(slim_oss::RedundantStore::new(oss))
-            }
-        } else {
-            oss
-        };
+        if self.config.redundancy {
+            oss = Arc::new(slim_oss::RedundantStore::with_telemetry(oss, &oss_scope));
+        }
         // Outermost: transparent retries, so a retried attempt re-enters the
         // whole stack (hedging, redundancy) below it. Each builder-wired
         // wrapper salts its jitter stream, so several deployments in one
         // process never back off in lockstep.
-        let oss: Arc<dyn ObjectStore> = if self.config.retry_attempts > 0 {
+        if self.config.retry_attempts > 0 {
             let policy = slim_oss::RetryPolicy {
                 max_attempts: self.config.retry_attempts,
                 ..slim_oss::RetryPolicy::default()
             }
             .salted(slim_oss::next_jitter_salt());
-            if enabled {
-                Arc::new(slim_oss::RetryingStore::with_telemetry(
-                    oss,
-                    policy,
-                    &registry.scope("retry"),
-                ))
-            } else {
-                Arc::new(slim_oss::RetryingStore::new(oss, policy))
-            }
-        } else {
-            oss
-        };
+            oss = Arc::new(slim_oss::RetryingStore::with_telemetry(
+                oss,
+                policy,
+                &registry.scope("retry"),
+            ));
+        }
         let storage = StorageLayer::open(oss.clone());
         let similar = SimilarFileIndex::load(oss.as_ref())?;
         let global = GlobalIndex::open_with(oss.clone(), self.rocks, 1 << 20)?;
@@ -187,17 +146,15 @@ impl SlimStoreBuilder {
             self.config.clone(),
             self.chunker,
             self.l_nodes,
-            enabled.then(|| registry.scope("lnode")),
+            registry.scope("lnode"),
         )?;
-        let mut gnode = GNode::new(
+        let gnode = GNode::new(
             storage.clone(),
             global,
             similar.clone(),
             self.config.clone(),
-        )?;
-        if enabled {
-            gnode = gnode.with_telemetry(registry.scope("gnode"));
-        }
+        )?
+        .with_telemetry(registry.scope("gnode"));
         // A maintenance pass killed mid-flight leaves intents in the G-node
         // journal; replay them before serving any request so the index and
         // container set are consistent from the first operation.
@@ -252,14 +209,10 @@ pub struct VersionBackupReport {
     pub stats: BackupStats,
     /// Number of files captured.
     pub files: usize,
-    /// OSS traffic this backup generated (snapshot delta), if the attached
-    /// store keeps counters. Includes retry/giveup counts when the store is
-    /// wrapped in a [`slim_oss::RetryingStore`]. This is a thin view over
-    /// the `oss.*` / `retry.*` counters of [`telemetry`](Self::telemetry).
-    pub oss_metrics: Option<MetricsSnapshot>,
     /// Everything the fleet recorded during this backup: the delta of
     /// [`SlimStore::telemetry_snapshot`] taken before and after the
-    /// version commit, including per-node span histograms.
+    /// version commit — the `oss.*` / `retry.*` traffic this backup
+    /// generated and the per-node span histograms.
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -312,8 +265,8 @@ impl SlimStore {
     /// cycle stages, and the instantaneous `rocks.*` LSM gauges.
     ///
     /// When the attached object store was supplied by the caller (so its
-    /// counters are not registry-backed), its [`MetricsSnapshot`] is
-    /// overlaid under the same canonical `oss.*` / `retry.*` names, so the
+    /// counters are not registry-backed), its [`slim_oss::MetricsSnapshot`]
+    /// is overlaid under the same canonical `oss.*` / `retry.*` names, so the
     /// snapshot shape is identical either way.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.registry.snapshot();
@@ -402,12 +355,10 @@ impl SlimStore {
         // Post-commit, best-effort: the similar index is a rebuildable hint.
         let _ = self.similar.save(self.oss.as_ref());
         let telemetry = Self::snapshot_delta(&self.telemetry_snapshot(), &before);
-        let oss_metrics = MetricsSnapshot::from_telemetry(&telemetry);
         Ok(VersionBackupReport {
             version,
             stats,
             files: file_count,
-            oss_metrics,
             telemetry,
         })
     }
@@ -430,14 +381,13 @@ impl SlimStore {
         sink: &mut dyn std::io::Write,
     ) -> Result<RestoreStats> {
         let compute = self.compute.read();
-        let node = compute.node_for(0);
-        slim_lnode::restore::RestoreEngine::new(node.storage(), Some(self.gnode.global_index()))
-            .restore_file_to(
-                file,
-                version,
-                &RestoreOptions::from_config(&self.config),
-                sink,
-            )
+        compute.node_for(0).restore_file_to(
+            file,
+            version,
+            Some(self.gnode.global_index()),
+            &RestoreOptions::from_config(&self.config),
+            sink,
+        )
     }
 
     /// Restore one file with explicit options.
@@ -808,13 +758,8 @@ mod tests {
         // report embeds (single delta implementation, acceptance criterion).
         let delta = SlimStore::snapshot_delta(&after, &before);
         assert_eq!(delta, report.telemetry);
-        // The thin OSS view is derived from the same delta.
-        let view = report.oss_metrics.expect("default store keeps counters");
-        assert_eq!(
-            view.put_requests,
-            report.telemetry.counter("oss.put_requests")
-        );
-        assert!(view.put_requests > 0);
+        // The OSS traffic of the backup is part of the same delta.
+        assert!(report.telemetry.counter("oss.put_requests") > 0);
         // Backup phases all recorded spans.
         for phase in [
             "backup",
@@ -847,22 +792,64 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_disabled_still_reports_oss_metrics() {
-        let mut cfg = SlimConfig::small_for_tests();
-        cfg.telemetry = false;
-        let store = SlimStoreBuilder::in_memory()
-            .with_config(cfg)
-            .with_rocks_config(RocksConfig::small_for_tests())
-            .build()
-            .unwrap();
+    fn streaming_restore_emits_lnode_telemetry() {
+        let store = store();
         let f = FileId::new("f");
+        let input = data(12, 30_000);
         let report = store
-            .backup_version(vec![(f.clone(), data(11, 20_000))])
+            .backup_version(vec![(f.clone(), input.clone())])
             .unwrap();
-        // No spans were recorded, but the OSS counter overlay still yields
-        // the per-backup traffic view.
-        assert!(report.telemetry.span("lnode.0", "backup").is_none());
-        assert!(report.oss_metrics.expect("overlay").put_requests > 0);
+        let mut sink = Vec::new();
+        let stats = store
+            .restore_file_to(&f, report.version, &mut sink)
+            .unwrap();
+        assert_eq!(sink, input);
+        let snap = store.telemetry_snapshot();
+        assert_eq!(snap.counter("lnode.0.restore_jobs"), 1);
+        assert_eq!(snap.counter("lnode.0.restored_bytes"), input.len() as u64);
+        assert_eq!(
+            snap.counter("lnode.0.containers_read"),
+            stats.containers_read
+        );
+        assert_eq!(snap.span("lnode.0", "restore").unwrap().count, 1);
+    }
+
+    #[test]
+    fn tenant_deployment_gets_the_full_internal_stack() {
+        let model = NetworkModel {
+            request_latency: std::time::Duration::from_micros(50),
+            ..NetworkModel::instant()
+        };
+        let base = || {
+            SlimStoreBuilder::in_memory()
+                .with_config(SlimConfig::small_for_tests())
+                .with_rocks_config(RocksConfig::small_for_tests())
+        };
+        let tenant_first = base().with_tenant("a").unwrap().with_network(model.clone());
+        let network_first = base().with_network(model).with_tenant("a").unwrap();
+        for builder in [tenant_first, network_first] {
+            let store = builder.build().unwrap();
+            let f = FileId::new("f");
+            let input = data(13, 20_000);
+            store
+                .backup_version(vec![(f.clone(), input.clone())])
+                .unwrap();
+            assert_eq!(store.restore_file(&f, VersionId(0)).unwrap().0, input);
+            // Registry-backed counters (no overlay), and the hedging layer
+            // `small_for_tests` asks for (`oss_endpoints == 2`).
+            let registered = store.telemetry().snapshot();
+            let requests = registered.counter("oss.get_requests")
+                + registered.counter("oss.put_requests")
+                + registered.counter("oss.delete_requests");
+            assert!(registered.counter("oss.get_requests") > 0);
+            assert!(
+                registered.counter("oss.net_time_nanos") >= requests * 50_000,
+                "every request paid the latency of the model given to the builder"
+            );
+            assert!(registered.counters.contains_key("oss.hedge.issued"));
+            assert!(registered.histograms.contains_key("oss.hedge.read_nanos"));
+        }
+        assert!(SlimStoreBuilder::in_memory().with_tenant("../x").is_err());
     }
 
     #[test]

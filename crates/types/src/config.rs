@@ -67,13 +67,6 @@ pub struct SlimConfig {
     /// (Table II; 6 saturates in the paper).
     pub prefetch_threads: usize,
 
-    /// Whether the unified telemetry subsystem is wired up: when true the
-    /// store registers component scopes (`oss`, `rocks`, `lnode.<id>`,
-    /// `gnode`) in a shared metric registry and every pipeline phase emits
-    /// spans. The hot-path cost is a handful of relaxed atomic adds per job.
-    #[serde(default = "default_telemetry")]
-    pub telemetry: bool,
-
     /// Whether the dedup-aware redundancy plane is active: container objects
     /// are protected by replicas or XOR parity groups, reads self-heal from
     /// them, and the G-node re-tiers protection each maintenance cycle.
@@ -133,10 +126,6 @@ pub struct SlimConfig {
     pub retry_attempts: u32,
 }
 
-fn default_telemetry() -> bool {
-    true
-}
-
 fn default_redundancy() -> bool {
     true
 }
@@ -190,7 +179,6 @@ impl Default for SlimConfig {
             restore_cache_mem: 64 * 1024 * 1024,
             restore_cache_disk: 256 * 1024 * 1024,
             prefetch_threads: 6,
-            telemetry: true,
             redundancy: true,
             redundancy_replica_refs: 64,
             parity_group_size: 4,
@@ -228,7 +216,6 @@ impl SlimConfig {
             restore_cache_mem: 64 * 1024,
             restore_cache_disk: 256 * 1024,
             prefetch_threads: 2,
-            telemetry: true,
             redundancy: true,
             redundancy_replica_refs: 8,
             parity_group_size: 3,

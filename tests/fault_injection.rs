@@ -612,8 +612,15 @@ fn chaos_transient_schedule_preserves_every_committed_version() {
             ])
             .unwrap();
         assert_eq!(report.version, VersionId(round));
-        let snap = report.oss_metrics.expect("retrying store keeps counters");
-        assert_eq!(snap.giveups, 0, "16 attempts must outlast p=0.3");
+        assert!(
+            report.telemetry.counters.contains_key("retry.retries"),
+            "retrying store keeps counters"
+        );
+        assert_eq!(
+            report.telemetry.counter("retry.giveups"),
+            0,
+            "16 attempts must outlast p=0.3"
+        );
         history.push(da.clone());
         // Every committed version restores byte-identically while the fault
         // schedule stays armed.
