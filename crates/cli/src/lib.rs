@@ -607,10 +607,11 @@ pub fn run(cmd: Command) -> Result<String> {
                     snap.counter("gnode.index.entries_rederived"),
                 ),
                 format!(
-                    "integrity: checked {} containers, quarantined {} containers, dropped {} index entries",
+                    "integrity: checked {} containers, quarantined {} containers, dropped {} index entries and {} rotten replicas",
                     integrity.containers_checked,
                     integrity.containers_quarantined,
                     integrity.index_entries_removed,
+                    integrity.replicas_dropped,
                 ),
                 format!("quarantine: {repairable} containers repairable, {lost} lost"),
             ];

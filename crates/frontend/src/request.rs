@@ -209,6 +209,15 @@ impl Ticket {
     }
 }
 
+/// The outcome may hold a whole restored version, so only completion shows.
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket")
+            .field("done", &self.is_done())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -232,8 +232,12 @@ impl Scheduler {
                         self.active[class].push_back(tenant);
                         continue;
                     }
-                    entry.deficit[class] = entry.deficit[class]
-                        .saturating_add(quantum.saturating_mul(u64::from(entry.policy.weight)));
+                    // A tenant left at the front mid-visit (below) still
+                    // holds the deficit for its head and gets no new quantum.
+                    if entry.deficit[class] < head.cost {
+                        entry.deficit[class] = entry.deficit[class]
+                            .saturating_add(quantum.saturating_mul(u64::from(entry.policy.weight)));
+                    }
                     if entry.deficit[class] < head.cost {
                         underfunded = true;
                         self.active[class].push_back(tenant);
@@ -252,6 +256,14 @@ impl Scheduler {
                         // An idle tenant carries no deficit into its next
                         // burst (classic DRR; prevents banked priority).
                         entry.deficit[class] = 0;
+                    } else if entry.queues[class]
+                        .front()
+                        .is_some_and(|next| entry.deficit[class] >= next.cost)
+                    {
+                        // The visit is not over: one dispatch serves one
+                        // job, so the rest of this tenant's quantum is
+                        // spent by the next calls, before anyone else's.
+                        self.active[class].push_front(tenant);
                     } else {
                         self.active[class].push_back(tenant);
                     }

@@ -100,6 +100,9 @@ impl GNodeCycleStats {
             .counter("redundancy.replicas_written")
             .add(self.redundancy.replicas_written);
         scope
+            .counter("redundancy.primaries_read")
+            .add(self.redundancy.primaries_read);
+        scope
             .counter("redundancy.parity_groups_sealed")
             .add(self.redundancy.parity_groups_sealed);
         scope
@@ -149,6 +152,9 @@ pub struct IntegrityReport {
     /// Global-index entries removed because they pointed at quarantined
     /// containers (an honest miss beats a dangling pointer).
     pub index_entries_removed: u64,
+    /// Replica objects that failed their CRC and were dropped (journaled);
+    /// the next re-tier rewrites them from the verified primary.
+    pub replicas_dropped: u64,
 }
 
 /// Health of one container's pair of OSS objects.
@@ -503,8 +509,11 @@ impl GNode {
     /// Corrupt containers are quarantined (both objects moved under the
     /// quarantine prefix) and their global-index entries removed, so reads
     /// fail honestly (`ChunkUnresolvable`) instead of returning garbage.
-    /// This is the heavy half of `slim scrub`; [`GNode::recover`] only
-    /// verifies what the journal implicates.
+    /// Replicas under `redundancy/replica/` are CRC-checked too — the
+    /// re-tier trusts a listed data replica without reading it — and a
+    /// rotten one is dropped, so the next re-tier rewrites it from the
+    /// verified primary. This is the heavy half of `slim scrub`;
+    /// [`GNode::recover`] only verifies what the journal implicates.
     pub fn verify_checksums(&self) -> Result<IntegrityReport> {
         let _stage = self.telemetry.span("verify_checksums");
         let mut report = IntegrityReport::default();
@@ -520,10 +529,17 @@ impl GNode {
             }
         }
         report.index_entries_removed = self.global.remove_references_to(&doomed)?;
+
+        report.replicas_dropped =
+            crate::redundancy::drop_rotten_replicas(self.storage.oss().as_ref(), &self.journal)?;
+
         let scope = &self.telemetry;
         scope
             .counter("integrity.containers_checked")
             .add(report.containers_checked);
+        scope
+            .counter("integrity.replicas_dropped")
+            .add(report.replicas_dropped);
         scope
             .counter("quarantined_objects")
             .add(report.objects_quarantined);
@@ -729,7 +745,13 @@ mod tests {
 
     fn setup() -> Env {
         let oss = Oss::in_memory();
-        let storage = StorageLayer::open(Arc::new(oss.clone()));
+        setup_over(Arc::new(oss.clone()), oss)
+    }
+
+    /// An environment whose storage layer and G-node go through `store`, a
+    /// view of `oss`.
+    fn setup_over(store: Arc<dyn ObjectStore>, oss: Oss) -> Env {
+        let storage = StorageLayer::open(store);
         let similar = SimilarFileIndex::new();
         let global =
             GlobalIndex::open_with(Arc::new(oss.clone()), RocksConfig::small_for_tests(), 8192)
@@ -1159,6 +1181,127 @@ mod tests {
         assert_eq!(again.replicas_written, 0, "{again:?}");
         assert_eq!(again.parity_groups_sealed, 0, "{again:?}");
         assert_eq!(again.objects_dropped, 0, "{again:?}");
+    }
+
+    /// Passes everything through and records the key of every read (whole
+    /// or ranged) of a container data object.
+    struct DataReads {
+        inner: Oss,
+        keys: Arc<parking_lot::Mutex<Vec<String>>>,
+    }
+
+    impl DataReads {
+        fn note(&self, key: &str) {
+            if key.starts_with(layout::CONTAINER_PREFIX) && key.ends_with("/data") {
+                self.keys.lock().push(key.to_string());
+            }
+        }
+    }
+
+    impl ObjectStore for DataReads {
+        fn put(&self, key: &str, value: bytes::Bytes) -> Result<()> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &str) -> Result<bytes::Bytes> {
+            self.note(key);
+            self.inner.get(key)
+        }
+        fn get_range(&self, key: &str, start: u64, len: u64) -> Result<bytes::Bytes> {
+            self.note(key);
+            self.inner.get_range(key, start, len)
+        }
+        fn delete(&self, key: &str) -> Result<()> {
+            self.inner.delete(key)
+        }
+        fn exists(&self, key: &str) -> Result<bool> {
+            self.inner.exists(key)
+        }
+        fn len(&self, key: &str) -> Result<Option<u64>> {
+            self.inner.len(key)
+        }
+        fn list(&self, prefix: &str) -> Vec<String> {
+            self.inner.list(prefix)
+        }
+    }
+
+    #[test]
+    fn retier_reads_only_the_data_objects_that_lack_protection() {
+        let oss = Oss::in_memory();
+        let reads = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let counting = DataReads {
+            inner: oss.clone(),
+            keys: reads.clone(),
+        };
+        let env = setup_over(Arc::new(counting), oss);
+        let f = FileId::new("f");
+        env.backup_version(0, &[(&f, &data(73, 60_000))]);
+        env.gnode.run_cycle(VersionId(0)).unwrap();
+
+        // Steady state: every data object is protected, so none is read.
+        reads.lock().clear();
+        let steady = env.gnode.update_redundancy().unwrap();
+        assert_eq!(*reads.lock(), Vec::<String>::new());
+        let containers = env.storage.list_containers().len() as u64;
+        assert_eq!(steady.primaries_read, containers, "metadata only");
+
+        // One more backup: exactly its containers are read, once each.
+        env.backup_version(1, &[(&f, &data(74, 60_000))]);
+        let mut fresh: Vec<String> = env
+            .storage
+            .get_manifest(VersionId(1))
+            .unwrap()
+            .new_containers
+            .iter()
+            .map(|&id| layout::container_data(id))
+            .collect();
+        fresh.sort();
+        assert!(!fresh.is_empty());
+        reads.lock().clear();
+        let delta = env.gnode.update_redundancy().unwrap();
+        let mut seen = reads.lock().clone();
+        seen.sort();
+        assert_eq!(seen, fresh);
+        assert_eq!(
+            delta.primaries_read,
+            env.storage.list_containers().len() as u64 + fresh.len() as u64
+        );
+    }
+
+    #[test]
+    fn rotten_data_replica_is_left_by_retier_and_renewed_after_scrub() {
+        let env = setup();
+        let f = FileId::new("f");
+        env.backup_version(0, &[(&f, &data(75, 60_000))]);
+        env.gnode.run_cycle(VersionId(0)).unwrap();
+        let rkey = env
+            .oss
+            .list(layout::REPLICA_PREFIX)
+            .into_iter()
+            .find(|k| k.ends_with("/data"))
+            .expect("a container in the replica tier");
+        let good = env.oss.get(&rkey).unwrap();
+        let mut bad = good.to_vec();
+        bad[3] ^= 0x20;
+        let bad = bytes::Bytes::from(bad);
+        env.oss.put(&rkey, bad.clone()).unwrap();
+
+        // The re-tier trusts a listed data replica without reading it.
+        let stats = env.gnode.update_redundancy().unwrap();
+        assert_eq!(stats.replicas_written, 0, "{stats:?}");
+        assert_eq!(env.oss.get(&rkey).unwrap(), bad);
+
+        // The scrub finds the rot and drops the replica (journaled) ...
+        let report = env.gnode.verify_checksums().unwrap();
+        assert_eq!(report.replicas_dropped, 1, "{report:?}");
+        assert_eq!(report.containers_quarantined, 0, "{report:?}");
+        assert!(!env.oss.exists(&rkey).unwrap());
+        assert!(env.oss.list(layout::JOURNAL_PREFIX).is_empty());
+
+        // ... and the next re-tier rewrites it from the verified primary.
+        let stats = env.gnode.update_redundancy().unwrap();
+        assert_eq!(stats.replicas_written, 1, "{stats:?}");
+        assert_eq!(env.oss.get(&rkey).unwrap(), good);
+        assert_eq!(env.gnode.verify_checksums().unwrap().replicas_dropped, 0);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!    whose member is currently damaged (it is a repair source);
 //! 3. seal new parity groups over uncovered members (parity block first,
 //!    CRC-sealed manifest last — the manifest PUT is the commit point);
-//! 4. write missing replicas and refresh stale metadata replicas;
+//! 4. copy the data objects that have no replica yet (container data is
+//!    write-once per key, so a listed data replica is never re-read) and
+//!    refresh metadata replicas whose primary moved on;
 //! 5. journal an idempotent [`Intent::DropObjects`] for every obsolete
 //!    protection object, then delete — a crash between record and delete
 //!    rolls forward on recovery.
@@ -27,7 +29,7 @@
 //! Additions are idempotent byte-identical PUTs and removals are journaled,
 //! so a kill at any step leaves a plane the next cycle converges from.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use slim_index::GlobalIndex;
 use slim_lnode::StorageLayer;
@@ -46,6 +48,11 @@ pub struct RedundancyStats {
     pub parity_tier: u64,
     /// Replica objects written (new replicas + refreshed metadata).
     pub replicas_written: u64,
+    /// Primary objects the pass fetched in full: every metadata primary
+    /// (compared with its replica each pass) plus the data objects that
+    /// gained a replica or a parity group. The data share is the pass's
+    /// O(Δ) cost.
+    pub primaries_read: u64,
     /// Parity groups sealed by this pass.
     pub parity_groups_sealed: u64,
     /// Obsolete redundancy objects dropped (journaled).
@@ -79,13 +86,22 @@ pub struct PurgeReport {
     pub objects_kept: u64,
 }
 
-/// Whether `key`'s primary currently holds CRC-intact bytes.
-fn primary_intact(oss: &dyn ObjectStore, key: &str) -> Result<bool> {
+/// Metadata replicas compared per batched replica-side read.
+const META_COMPARE_BATCH: usize = 64;
+
+/// `key`'s primary bytes as stored, if present and CRC-intact. Damage is
+/// never replicated or sealed into a group; the repair sweep goes first.
+fn intact_primary(oss: &dyn ObjectStore, key: &str) -> Result<Option<bytes::Bytes>> {
     match oss.get_raw(key) {
-        Ok(buf) => Ok(crc::verified_payload_len(&buf, "primary object").is_ok()),
-        Err(SlimError::ObjectNotFound(_)) => Ok(false),
+        Ok(buf) if crc::verified_payload_len(&buf, "primary object").is_ok() => Ok(Some(buf)),
+        Ok(_) | Err(SlimError::ObjectNotFound(_)) => Ok(None),
         Err(e) => Err(e),
     }
+}
+
+/// Whether `key`'s primary currently holds CRC-intact bytes.
+fn primary_intact(oss: &dyn ObjectStore, key: &str) -> Result<bool> {
+    Ok(intact_primary(oss, key)?.is_some())
 }
 
 /// Whether `key` is damaged in a way the redundancy plane may still have to
@@ -182,14 +198,11 @@ pub fn update_redundancy(
     for chunk in uncovered.chunks(config.parity_group_size.max(1)) {
         let mut members: Vec<(String, bytes::Bytes)> = Vec::with_capacity(chunk.len());
         for key in chunk {
-            // Never seal damage into a group; a skipped member is grouped
-            // by a later cycle, after repair.
-            match oss.get_raw(key) {
-                Ok(buf) if crc::verified_payload_len(&buf, "group member").is_ok() => {
-                    members.push(((*key).clone(), buf));
-                }
-                Ok(_) | Err(SlimError::ObjectNotFound(_)) => {}
-                Err(e) => return Err(e),
+            // A skipped (damaged) member is grouped by a later cycle,
+            // after repair.
+            stats.primaries_read += 1;
+            if let Some(buf) = intact_primary(oss.as_ref(), key)? {
+                members.push(((*key).clone(), buf));
             }
         }
         if members.is_empty() {
@@ -214,31 +227,57 @@ pub fn update_redundancy(
         stats.parity_groups_sealed += 1;
     }
 
-    // Replicas: data replicas are immutable (write when absent); metadata
-    // replicas refresh whenever the primary's bytes moved on (deletion
-    // marks land in place).
+    // Replicas. Container data is write-once per key — every rewrite takes
+    // a fresh id and ids are never reused (`StorageLayer::open`) — so a
+    // listed data replica is current by construction and is neither read
+    // nor compared; only containers without one are fetched, verified and
+    // copied. Rot inside a replica is `GNode::verify_checksums`' to find: it
+    // drops the replica, and the next pass lands here. Metadata mutates in
+    // place (deletion marks), so its replica is compared every pass and
+    // refreshed when the primary's bytes moved on.
     let existing_replicas: BTreeSet<String> =
         oss.list(layout::REPLICA_PREFIX).into_iter().collect();
-    for original in &desired_replicas {
+    let (data_keys, meta_keys): (Vec<&String>, Vec<&String>) = desired_replicas
+        .iter()
+        .partition(|key| key.ends_with("/data"));
+    for original in &data_keys {
         let rkey = layout::replica_key(original);
-        let primary = match oss.get_raw(original) {
-            Ok(buf) if crc::verified_payload_len(&buf, "replica source").is_ok() => buf,
-            // Never replicate damage; the repair sweep goes first.
-            Ok(_) | Err(SlimError::ObjectNotFound(_)) => continue,
-            Err(e) => return Err(e),
-        };
-        let fresh = if existing_replicas.contains(&rkey) {
-            match oss.get_raw(&rkey) {
-                Ok(existing) => existing == primary,
-                Err(SlimError::ObjectNotFound(_)) => false,
-                Err(e) => return Err(e),
-            }
-        } else {
-            false
-        };
-        if !fresh {
+        if existing_replicas.contains(&rkey) {
+            continue;
+        }
+        stats.primaries_read += 1;
+        if let Some(primary) = intact_primary(oss.as_ref(), original)? {
             oss.put(&rkey, primary)?;
             stats.replicas_written += 1;
+        }
+    }
+    for batch in meta_keys.chunks(META_COMPARE_BATCH) {
+        // Replica keys are not protected keys, so this batch is a raw read.
+        let listed: Vec<String> = batch
+            .iter()
+            .map(|original| layout::replica_key(original))
+            .filter(|rkey| existing_replicas.contains(rkey))
+            .collect();
+        let mut current: HashMap<&str, bytes::Bytes> = HashMap::with_capacity(listed.len());
+        for (rkey, replica) in listed.iter().zip(oss.get_many(&listed)) {
+            match replica {
+                Ok(buf) => {
+                    current.insert(rkey, buf);
+                }
+                Err(SlimError::ObjectNotFound(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        for original in batch {
+            stats.primaries_read += 1;
+            let Some(primary) = intact_primary(oss.as_ref(), original)? else {
+                continue;
+            };
+            let rkey = layout::replica_key(original);
+            if current.get(rkey.as_str()) != Some(&primary) {
+                oss.put(&rkey, primary)?;
+                stats.replicas_written += 1;
+            }
         }
     }
 
@@ -257,25 +296,44 @@ pub fn update_redundancy(
         }
     }
 
-    // Journaled two-phase drop: record the idempotent intent, delete, then
-    // retire. A crash after the record rolls the deletions forward.
-    if !drop_keys.is_empty() {
-        stats.objects_dropped = drop_keys.len() as u64;
-        let seq = journal.record(&Intent::DropObjects {
-            keys: drop_keys.clone(),
-        })?;
-        for res in oss.delete_many(&drop_keys) {
-            res?;
-        }
-        journal.retire(seq)?;
-    }
+    stats.objects_dropped = drop_keys.len() as u64;
+    drop_objects(oss.as_ref(), journal, &drop_keys)?;
 
-    stats.replica_tier = desired_replicas
-        .iter()
-        .filter(|k| k.ends_with("/data"))
-        .count() as u64;
+    stats.replica_tier = data_keys.len() as u64;
     stats.parity_tier = parity_keys.iter().filter(|k| covered.contains(*k)).count() as u64;
     Ok(stats)
+}
+
+/// Journaled two-phase drop of redundancy-plane objects: record the
+/// idempotent intent, delete, then retire. A crash after the record rolls
+/// the deletions forward on recovery.
+fn drop_objects(oss: &dyn ObjectStore, journal: &Journal, keys: &[String]) -> Result<()> {
+    if keys.is_empty() {
+        return Ok(());
+    }
+    let seq = journal.record(&Intent::DropObjects {
+        keys: keys.to_vec(),
+    })?;
+    for res in oss.delete_many(keys) {
+        res?;
+    }
+    journal.retire(seq)
+}
+
+/// CRC-check every replica and drop the ones that fail, so the next re-tier
+/// rewrites them from the verified primary (the re-tier itself trusts a
+/// listed data replica without reading it). Returns the number dropped.
+pub(crate) fn drop_rotten_replicas(oss: &dyn ObjectStore, journal: &Journal) -> Result<u64> {
+    let mut rotten: Vec<String> = Vec::new();
+    for rkey in oss.list(layout::REPLICA_PREFIX) {
+        match oss.get_raw(&rkey) {
+            Ok(buf) if crc::verified_payload_len(&buf, "replica").is_err() => rotten.push(rkey),
+            Ok(_) | Err(SlimError::ObjectNotFound(_)) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    drop_objects(oss, journal, &rotten)?;
+    Ok(rotten.len() as u64)
 }
 
 /// Distinct containers with objects parked under the quarantine prefix.

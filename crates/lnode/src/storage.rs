@@ -3,9 +3,11 @@
 //! Wraps an [`ObjectStore`] with the container store, recipe store and
 //! version-manifest conventions. All state lives on OSS; the only in-process
 //! state is the monotonic container-id allocator, which is recovered on open
-//! as the numeric max over every parsed container key (zero-padding makes
-//! keys *usually* sort numerically, but recovery must not depend on it —
-//! a 13-digit id sorts before any 12-digit one).
+//! as the numeric max over every parsed container key — live, replicated or
+//! quarantined, so an id is never handed out twice even after its primary
+//! is gone (zero-padding makes keys *usually* sort numerically, but
+//! recovery must not depend on it — a 13-digit id sorts before any
+//! 12-digit one).
 //!
 //! The handed-in store may be a healing wrapper (`slim_oss::RedundantStore`):
 //! whole-object container reads then transparently reconstruct damaged
@@ -36,11 +38,17 @@ impl StorageLayer {
         // Numeric max over *all* parsed ids, not the lexicographically last
         // key: once an id outgrows the 12-digit key padding it sorts before
         // shorter ids, and recovering from `.last()` would hand out a live
-        // id again.
-        let next_id = oss
-            .list(layout::CONTAINER_PREFIX)
-            .iter()
-            .filter_map(|k| layout::parse_container_key(k))
+        // id again. Replicas and quarantined copies count too: container
+        // data is write-once per id (the redundancy re-tier never re-reads
+        // a listed data replica), which only holds if a deleted container's
+        // id is not reused while a stale copy of it survives.
+        let next_id = ["", layout::REPLICA_PREFIX, layout::QUARANTINE_PREFIX]
+            .into_iter()
+            .flat_map(|relocation| {
+                oss.list(&format!("{relocation}{}", layout::CONTAINER_PREFIX))
+                    .into_iter()
+                    .filter_map(move |k| layout::parse_container_key(k.strip_prefix(relocation)?))
+            })
             .map(|id| id.0)
             .max()
             .map(|max| max + 1)
@@ -372,6 +380,32 @@ mod tests {
         let s2 = StorageLayer::open(Arc::new(oss));
         let next = s2.allocate_container_id();
         assert!(next > a, "allocator must not reuse {a}");
+    }
+
+    #[test]
+    fn id_allocator_never_reuses_an_id_with_a_surviving_copy() {
+        // Container data is write-once per id: the redundancy re-tier trusts
+        // a listed data replica unread. Reusing the id of a deleted
+        // container whose replica (or quarantined copy) outlived it would
+        // pair new bytes with a stale replica.
+        for relocate in [layout::replica_key, layout::quarantine_key] {
+            let (oss, s) = layer();
+            let low = s.allocate_container_id();
+            let high = s.allocate_container_id();
+            for id in [low, high] {
+                let mut b = ContainerBuilder::new(id, 64);
+                b.push(fp(1), &[0u8; 10]);
+                let (data, meta) = b.seal();
+                s.put_container(data, &meta).unwrap();
+            }
+            let key = layout::container_data(high);
+            oss.put(&relocate(&key), oss.get(&key).unwrap()).unwrap();
+            s.delete_container(high).unwrap();
+
+            let reopened = StorageLayer::open(Arc::new(oss));
+            let next = reopened.allocate_container_id();
+            assert!(next > high, "allocator reused {high:?} as {next:?}");
+        }
     }
 
     #[test]

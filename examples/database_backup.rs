@@ -36,7 +36,7 @@ fn main() -> slim_types::Result<()> {
             .collect();
         let report = store.backup_version_with_jobs(files, 4)?;
         store.run_gnode_cycle(report.version)?;
-        let space = store.space_report();
+        let space = store.space_report()?;
         println!(
             "night {:>2}: {:>7.1} MiB logical, dedup {:>5.1}%, {:>6.1} MB/s, store now {:>7.1} MiB",
             v,

@@ -46,7 +46,7 @@ fn main() -> slim_types::Result<()> {
         );
     }
 
-    let space = store.space_report();
+    let space = store.space_report()?;
     println!(
         "space on OSS: {:.1} KiB containers + {:.1} KiB recipes (3 versions, {:.1} KiB logical)",
         space.container_bytes as f64 / 1024.0,
