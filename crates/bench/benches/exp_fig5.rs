@@ -104,7 +104,9 @@ fn main() {
 
     // -- (d): CPU time breakdown with skip chunking -----------------------
     // Regenerated from telemetry span deltas of the v1 backup, like Fig 2:
-    // the same `lnode.0.span.*` histograms any deployment exports.
+    // the same `lnode.0.span.*` histograms any deployment exports. Inline
+    // engine, as in Fig 2: `wall − network` is one thread's CPU time only
+    // when no stage overlaps another.
     println!("\n== Fig 5(d): CPU time breakdown with skip chunking on (v1) ==\n");
     let stream = VersionedFile::new("fig5d", bytes, 2, 0.84);
     let mut table = Table::new(&["algo", "chunking", "fingerprint", "index query", "others"]);
@@ -114,7 +116,9 @@ fn main() {
         let node = LNode::with_chunker(
             storage,
             SimilarFileIndex::new(),
-            base_cfg().with_skip_chunking(true),
+            base_cfg()
+                .with_skip_chunking(true)
+                .with_backup_pipeline_threads(0),
             kind,
         )
         .unwrap()

@@ -213,7 +213,6 @@ pub struct FrontendBuilder {
     manager: Arc<TenantStoreManager>,
     config: FrontendConfig,
     clock: Arc<dyn Clock>,
-    registry: Option<Registry>,
     policies: Vec<(String, TenantPolicy)>,
 }
 
@@ -224,7 +223,6 @@ impl FrontendBuilder {
             manager,
             config: FrontendConfig::default(),
             clock: Arc::new(SystemClock::new()),
-            registry: None,
             policies: Vec::new(),
         }
     }
@@ -242,13 +240,6 @@ impl FrontendBuilder {
         self
     }
 
-    /// Record frontend metrics into an existing registry instead of a
-    /// private one.
-    pub fn with_registry(mut self, registry: Registry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
     /// Per-tenant QoS override applied before the frontend starts.
     pub fn with_tenant_policy(mut self, tenant: &str, policy: TenantPolicy) -> Self {
         self.policies.push((tenant.to_string(), policy));
@@ -261,7 +252,7 @@ impl FrontendBuilder {
         for (_, policy) in &self.policies {
             policy.validate()?;
         }
-        let registry = self.registry.unwrap_or_default();
+        let registry = Registry::new();
         let scope = registry.scope("frontend");
         let shared = Arc::new(Shared {
             manager: self.manager,

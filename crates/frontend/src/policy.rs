@@ -226,12 +226,6 @@ impl FrontendConfig {
         self
     }
 
-    /// Builder-style default deadline.
-    pub fn with_default_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.default_deadline = deadline;
-        self
-    }
-
     /// Builder-style default tenant policy.
     pub fn with_default_policy(mut self, policy: TenantPolicy) -> Self {
         self.default_policy = policy;

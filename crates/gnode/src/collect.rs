@@ -48,14 +48,16 @@ pub fn mark_unreferenced(storage: &StorageLayer, n: VersionId, n_plus_1: Version
     let new_refs = refs_of(n_plus_1)?;
     let mut manifest = storage.get_manifest(n)?;
     let already: HashSet<ContainerId> = manifest.garbage_on_delete.iter().copied().collect();
-    let mut marked = 0u64;
-    for &container in &old_refs {
-        if !new_refs.contains(&container) && !already.contains(&container) {
-            manifest.garbage_on_delete.push(container);
-            marked += 1;
-        }
-    }
+    // Ascending ids, not set order: the manifest's bytes must be a function
+    // of the history, not of this process's hash seed.
+    let mut unreferenced: Vec<ContainerId> = old_refs
+        .into_iter()
+        .filter(|c| !new_refs.contains(c) && !already.contains(c))
+        .collect();
+    unreferenced.sort();
+    let marked = unreferenced.len() as u64;
     if marked > 0 {
+        manifest.garbage_on_delete.extend(unreferenced);
         storage.put_manifest(&manifest)?;
     }
     Ok(marked)
@@ -356,20 +358,35 @@ mod tests {
 
     #[test]
     fn mark_identifies_dropped_containers() {
-        let env = setup();
         let file = FileId::new("f");
-        let v0 = data(1, 40_000);
-        env.backup_version(0, &[(&file, &v0)]);
-        // v1 rewrites the file completely: v0's containers become invisible.
-        let v1 = data(2, 40_000);
-        env.backup_version(1, &[(&file, &v1)]);
-        let marked = mark_unreferenced(&env.storage, VersionId(0), VersionId(1)).unwrap();
-        assert!(marked > 0, "fully-rewritten file must orphan containers");
+        let marked_history = || {
+            let env = setup();
+            let v0 = data(1, 120_000);
+            env.backup_version(0, &[(&file, &v0)]);
+            // v1 rewrites the file completely: v0's containers become
+            // invisible.
+            let v1 = data(2, 120_000);
+            env.backup_version(1, &[(&file, &v1)]);
+            let marked = mark_unreferenced(&env.storage, VersionId(0), VersionId(1)).unwrap();
+            (env, marked)
+        };
+        let (env, marked) = marked_history();
+        assert!(
+            marked > 8,
+            "fully-rewritten file must orphan its containers"
+        );
         let manifest = env.storage.get_manifest(VersionId(0)).unwrap();
         assert_eq!(manifest.garbage_on_delete.len() as u64, marked);
         // Marking again adds nothing (idempotent).
         let again = mark_unreferenced(&env.storage, VersionId(0), VersionId(1)).unwrap();
         assert_eq!(again, 0);
+        // The same history writes the same manifest bytes, run after run.
+        let (twin, _) = marked_history();
+        let key = layout::version_manifest(VersionId(0));
+        assert_eq!(
+            env.storage.oss().get(&key).unwrap(),
+            twin.storage.oss().get(&key).unwrap()
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::collect::{
 use crate::journal::{Intent, Journal};
 use crate::meta_cache::MetaCache;
 use crate::redundancy::{PurgeReport, RedundancyStats, RepairReport};
-use crate::reverse_dedup::{reverse_dedup, ReverseDedupStats};
+use crate::reverse_dedup::{reverse_dedup, rewrite_containers, ReverseDedupStats};
 use crate::scc::{compact_sparse_containers, SccStats};
 
 /// Combined statistics of one G-node cycle.
@@ -156,6 +156,10 @@ pub struct IntegrityReport {
     /// the next re-tier rewrites them from the verified primary.
     pub replicas_dropped: u64,
 }
+
+/// Containers `GNode::vacuum` rewrites per journaled batch: the rewrite
+/// holds every payload of a batch in memory at once (32 × 4 MiB).
+const VACUUM_SLICE: usize = 32;
 
 /// Health of one container's pair of OSS objects.
 enum ContainerState {
@@ -332,23 +336,25 @@ impl GNode {
         let _stage = self.telemetry.span("vacuum");
         let mut cache = MetaCache::new(self.storage.clone(), self.meta_cache_capacity);
         let mut stats = ReverseDedupStats::default();
-        let mut zero_threshold = self.config.clone();
-        zero_threshold.container_rewrite_threshold = 0.0;
+        let mut stale: Vec<ContainerId> = Vec::new();
         for id in self.storage.list_containers() {
-            if cache.get(id)?.deleted_chunks() == 0 {
-                continue;
+            if cache.get(id)?.deleted_chunks() > 0 {
+                stale.push(id);
             }
-            crate::reverse_dedup::maybe_rewrite(
+        }
+        for slice in stale.chunks(VACUUM_SLICE) {
+            rewrite_containers(
                 &self.storage,
                 &self.global,
                 &mut cache,
                 &self.journal,
-                &zero_threshold,
-                id,
+                self.config.compression,
+                0.0,
+                slice,
+                None,
                 &mut stats,
             )?;
         }
-        cache.flush()?;
         Ok(stats)
     }
 
@@ -608,17 +614,19 @@ impl GNode {
     /// the damage it exists to find. Healing happens explicitly afterwards,
     /// in [`GNode::repair`] or the cycle's repair stage.
     fn container_state(&self, id: ContainerId) -> Result<ContainerState> {
+        use slim_oss::{object_state, ObjectState};
         use slim_types::{crc, ContainerMeta};
-        let oss = self.storage.oss();
-        match oss.get_raw(&layout::container_meta(id)) {
-            Ok(buf) => {
+        let oss = self.storage.oss().as_ref();
+        match object_state(oss, &layout::container_meta(id))? {
+            ObjectState::Intact(buf) => {
                 let decoded = crc::unseal(&buf, "container meta")
                     .and_then(|payload| ContainerMeta::decode(&payload));
                 if decoded.is_err() {
                     return Ok(ContainerState::Corrupt);
                 }
             }
-            Err(SlimError::ObjectNotFound(_)) => {
+            ObjectState::Corrupt => return Ok(ContainerState::Corrupt),
+            ObjectState::Missing => {
                 // No meta. A leftover data object is a remnant, not a
                 // container; report Corrupt so callers quarantine it.
                 return match oss.exists(&layout::container_data(id))? {
@@ -626,15 +634,10 @@ impl GNode {
                     false => Ok(ContainerState::Missing),
                 };
             }
-            Err(e) => return Err(e),
         }
-        match oss.get_raw(&layout::container_data(id)) {
-            Ok(buf) => match crc::verified_payload_len(&buf, "container data") {
-                Ok(_) => Ok(ContainerState::Intact),
-                Err(_) => Ok(ContainerState::Corrupt),
-            },
-            Err(SlimError::ObjectNotFound(_)) => Ok(ContainerState::Corrupt),
-            Err(e) => Err(e),
+        match object_state(oss, &layout::container_data(id))? {
+            ObjectState::Intact(_) => Ok(ContainerState::Intact),
+            ObjectState::Corrupt | ObjectState::Missing => Ok(ContainerState::Corrupt),
         }
     }
 

@@ -29,11 +29,11 @@
 //! Additions are idempotent byte-identical PUTs and removals are journaled,
 //! so a kill at any step leaves a plane the next cycle converges from.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use slim_index::GlobalIndex;
 use slim_lnode::StorageLayer;
-use slim_oss::{reconstruct_object, ObjectStore};
+use slim_oss::{object_state, reconstruct_object, ObjectState, ObjectStore};
 use slim_types::redundancy::{parity_of, GroupMember};
 use slim_types::{crc, layout, ContainerId, ParityGroup, Result, SlimConfig, SlimError};
 
@@ -89,32 +89,6 @@ pub struct PurgeReport {
 /// Metadata replicas compared per batched replica-side read.
 const META_COMPARE_BATCH: usize = 64;
 
-/// `key`'s primary bytes as stored, if present and CRC-intact. Damage is
-/// never replicated or sealed into a group; the repair sweep goes first.
-fn intact_primary(oss: &dyn ObjectStore, key: &str) -> Result<Option<bytes::Bytes>> {
-    match oss.get_raw(key) {
-        Ok(buf) if crc::verified_payload_len(&buf, "primary object").is_ok() => Ok(Some(buf)),
-        Ok(_) | Err(SlimError::ObjectNotFound(_)) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Whether `key`'s primary currently holds CRC-intact bytes.
-fn primary_intact(oss: &dyn ObjectStore, key: &str) -> Result<bool> {
-    Ok(intact_primary(oss, key)?.is_some())
-}
-
-/// Whether `key` is damaged in a way the redundancy plane may still have to
-/// repair: present-but-corrupt, or missing with a quarantined copy parked.
-/// (Missing with no quarantine copy is legitimate deletion.)
-fn primary_damaged(oss: &dyn ObjectStore, key: &str) -> Result<bool> {
-    match oss.get_raw(key) {
-        Ok(buf) => Ok(crc::verified_payload_len(&buf, "primary object").is_err()),
-        Err(SlimError::ObjectNotFound(_)) => oss.exists(&layout::quarantine_key(key)),
-        Err(e) => Err(e),
-    }
-}
-
 /// Re-tier the redundancy plane to match the current dedup state (see the
 /// module docs for the pass structure).
 pub fn update_redundancy(
@@ -125,6 +99,16 @@ pub fn update_redundancy(
 ) -> Result<RedundancyStats> {
     let oss = storage.oss();
     let mut stats = RedundancyStats::default();
+    // Damaged in a way the plane may still have to repair: present but
+    // corrupt, or missing with a quarantined copy parked (missing with no
+    // quarantined copy is legitimate deletion).
+    let needs_repair_source = |key: &str| -> Result<bool> {
+        Ok(match object_state(oss.as_ref(), key)? {
+            ObjectState::Intact(_) => false,
+            ObjectState::Corrupt => true,
+            ObjectState::Missing => oss.exists(&layout::quarantine_key(key))?,
+        })
+    };
 
     let mut ids = storage.list_containers();
     ids.sort();
@@ -174,7 +158,7 @@ pub fn update_redundancy(
             // Membership is obsolete, but the group must survive while any
             // member is damaged — it may be the only reconstruction source.
             for m in &group.members {
-                if primary_damaged(oss.as_ref(), &m.key)? {
+                if needs_repair_source(&m.key)? {
                     keep = true;
                     break;
                 }
@@ -198,10 +182,10 @@ pub fn update_redundancy(
     for chunk in uncovered.chunks(config.parity_group_size.max(1)) {
         let mut members: Vec<(String, bytes::Bytes)> = Vec::with_capacity(chunk.len());
         for key in chunk {
-            // A skipped (damaged) member is grouped by a later cycle,
-            // after repair.
+            // Damage is never sealed into a group: a skipped member is
+            // grouped by a later cycle, after repair.
             stats.primaries_read += 1;
-            if let Some(buf) = intact_primary(oss.as_ref(), key)? {
+            if let ObjectState::Intact(buf) = object_state(oss.as_ref(), key)? {
                 members.push(((*key).clone(), buf));
             }
         }
@@ -246,7 +230,7 @@ pub fn update_redundancy(
             continue;
         }
         stats.primaries_read += 1;
-        if let Some(primary) = intact_primary(oss.as_ref(), original)? {
+        if let ObjectState::Intact(primary) = object_state(oss.as_ref(), original)? {
             oss.put(&rkey, primary)?;
             stats.replicas_written += 1;
         }
@@ -270,7 +254,7 @@ pub fn update_redundancy(
         }
         for original in batch {
             stats.primaries_read += 1;
-            let Some(primary) = intact_primary(oss.as_ref(), original)? else {
+            let ObjectState::Intact(primary) = object_state(oss.as_ref(), original)? else {
                 continue;
             };
             let rkey = layout::replica_key(original);
@@ -291,7 +275,7 @@ pub fn update_redundancy(
         if desired_replicas.contains(original) {
             continue;
         }
-        if !primary_damaged(oss.as_ref(), original)? {
+        if !needs_repair_source(original)? {
             drop_keys.push(rkey.clone());
         }
     }
@@ -326,10 +310,8 @@ fn drop_objects(oss: &dyn ObjectStore, journal: &Journal, keys: &[String]) -> Re
 pub(crate) fn drop_rotten_replicas(oss: &dyn ObjectStore, journal: &Journal) -> Result<u64> {
     let mut rotten: Vec<String> = Vec::new();
     for rkey in oss.list(layout::REPLICA_PREFIX) {
-        match oss.get_raw(&rkey) {
-            Ok(buf) if crc::verified_payload_len(&buf, "replica").is_err() => rotten.push(rkey),
-            Ok(_) | Err(SlimError::ObjectNotFound(_)) => {}
-            Err(e) => return Err(e),
+        if object_state(oss, &rkey)? == ObjectState::Corrupt {
+            rotten.push(rkey);
         }
     }
     drop_objects(oss, journal, &rotten)?;
@@ -363,7 +345,7 @@ pub fn repair_quarantined(storage: &StorageLayer, global: &GlobalIndex) -> Resul
         let mut pending: Vec<(String, bytes::Bytes)> = Vec::new();
         let mut whole = true;
         for key in [layout::container_data(id), layout::container_meta(id)] {
-            if primary_intact(oss.as_ref(), &key)? {
+            if matches!(object_state(oss.as_ref(), &key)?, ObjectState::Intact(_)) {
                 continue;
             }
             match reconstruct_object(oss.as_ref(), &key)? {
@@ -406,7 +388,10 @@ pub fn repair_quarantined(storage: &StorageLayer, global: &GlobalIndex) -> Resul
             continue;
         };
         if layout::parse_container_key(original).is_some()
-            && primary_intact(oss.as_ref(), original)?
+            && matches!(
+                object_state(oss.as_ref(), original)?,
+                ObjectState::Intact(_)
+            )
         {
             report.quarantine_released += 1;
         }
@@ -423,7 +408,7 @@ pub fn classify_quarantine(oss: &dyn ObjectStore) -> Result<(u64, u64)> {
     for id in quarantined_containers(oss) {
         let mut ok = true;
         for key in [layout::container_data(id), layout::container_meta(id)] {
-            if primary_intact(oss, &key)? {
+            if matches!(object_state(oss, &key)?, ObjectState::Intact(_)) {
                 continue;
             }
             if reconstruct_object(oss, &key)?.is_none() {
@@ -449,7 +434,7 @@ pub fn purge_quarantine(oss: &dyn ObjectStore, force: bool) -> Result<PurgeRepor
         let Some(original) = key.strip_prefix(layout::QUARANTINE_PREFIX) else {
             continue;
         };
-        if force || primary_intact(oss, original)? {
+        if force || matches!(object_state(oss, original)?, ObjectState::Intact(_)) {
             oss.delete(&key)?;
             report.objects_purged += 1;
         } else {
@@ -457,32 +442,4 @@ pub fn purge_quarantine(oss: &dyn ObjectStore, force: bool) -> Result<PurgeRepor
         }
     }
     Ok(report)
-}
-
-/// Redundancy-plane keys protecting containers that no longer exist
-/// anywhere (not live, not quarantined) — used by tests to assert the plane
-/// does not leak.
-pub fn orphaned_redundancy_keys(oss: &dyn ObjectStore) -> Result<Vec<String>> {
-    let mut orphans = Vec::new();
-    for rkey in oss.list(layout::REPLICA_PREFIX) {
-        let Some(original) = layout::replica_original(&rkey) else {
-            continue;
-        };
-        if !oss.exists(original)? && !oss.exists(&layout::quarantine_key(original))? {
-            orphans.push(rkey);
-        }
-    }
-    Ok(orphans)
-}
-
-/// Per-tier protected-object counts `(replica_data, parity_data)` read back
-/// from the plane itself (diagnostics / space accounting).
-pub fn protection_summary(oss: &dyn ObjectStore) -> Result<BTreeMap<&'static str, u64>> {
-    let mut out = BTreeMap::new();
-    out.insert("replicas", oss.list(layout::REPLICA_PREFIX).len() as u64);
-    out.insert(
-        "parity_groups",
-        oss.list(layout::PARITY_GROUP_PREFIX).len() as u64,
-    );
-    Ok(out)
 }

@@ -130,38 +130,87 @@ pub fn reverse_dedup(
         }
     }
 
+    // Intent first: the marks above become durable with the meta flush, so
+    // the index flips must survive a crash before the global flush lands.
+    let repoint_seq = if relocations.is_empty() {
+        None
+    } else {
+        Some(journal.record(&Intent::RepointIndex {
+            entries: relocations.iter().map(|(fp, id)| (*fp, *id)).collect(),
+        })?)
+    };
+
     // Deferred physical deletion: rewrite or drop heavily-deleted containers.
     touched_old.sort();
     touched_old.dedup();
+    rewrite_containers(
+        storage,
+        global,
+        meta_cache,
+        journal,
+        config.compression,
+        config.container_rewrite_threshold,
+        &touched_old,
+        Some(&mut relocations),
+        &mut stats,
+    )?;
+    if let Some(seq) = repoint_seq {
+        journal.retire(seq)?;
+    }
+    Ok((stats, relocations))
+}
 
+/// Physically reclaim `candidates`: delete each container with nothing live
+/// left, and rewrite without its deleted chunks each one whose deleted ratio
+/// exceeds `threshold`. The one journaled two-phase rewrite primitive
+/// (reverse dedup, SCC and vacuum all end in it), batched over the whole
+/// candidate set:
+///
+/// 1. one batched data read for every container to rewrite;
+/// 2. per rewrite, a `RewriteContainer` intent, then the survivors are built
+///    and PUT under a **fresh id** and the global index flips to it (new
+///    homes are added to `relocations`, for a caller that still has recipes
+///    to repoint);
+/// 3. a `DropContainers` intent for the empty ones;
+/// 4. **one** metadata-cache flush and **one** index flush — the caller's
+///    buffered deletion marks and index flips become durable here too, also
+///    when nothing is rewritten;
+/// 5. one batched delete of the now-unreferenced old objects, and only then
+///    are the intents retired.
+///
+/// A pass killed anywhere either rolls forward (new container intact) or
+/// back (old container still whole). Recipes still naming an old id resolve
+/// through the global-index fallback on the restore path. The caller bounds
+/// memory: every container to rewrite is held in full at once.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rewrite_containers(
+    storage: &StorageLayer,
+    global: &GlobalIndex,
+    meta_cache: &mut MetaCache,
+    journal: &Journal,
+    compression: bool,
+    threshold: f64,
+    candidates: &[ContainerId],
+    mut relocations: Option<&mut RelocationMap>,
+    stats: &mut ReverseDedupStats,
+) -> Result<()> {
     let mut dead: Vec<ContainerId> = Vec::new();
     let mut rewrites: Vec<(ContainerId, ContainerMeta)> = Vec::new();
-    for &id in &touched_old {
-        let meta = meta_cache.get(id)?.clone();
+    for &id in candidates {
+        let meta = meta_cache.get(id)?;
         if meta.live_chunks() == 0 {
             stats.containers_deleted += 1;
             stats.bytes_reclaimed += meta.data_len as u64;
             meta_cache.forget(id);
             dead.push(id);
-        } else if meta.deleted_ratio() > config.container_rewrite_threshold {
-            rewrites.push((id, meta));
+        } else if meta.deleted_ratio() > threshold {
+            rewrites.push((id, meta.clone()));
         }
     }
 
     let mut seqs: Vec<u64> = Vec::new();
-    // Intent first: the marks above become durable with the meta flush, so
-    // the index flips must survive a crash before the global flush lands.
-    if !relocations.is_empty() {
-        seqs.push(journal.record(&Intent::RepointIndex {
-            entries: relocations.iter().map(|(fp, id)| (*fp, *id)).collect(),
-        })?);
-    }
-
-    // Two-phase rewrites: survivors move to fresh containers (one batched
-    // data read for all candidates), the index flips, and the old objects
-    // are deleted only after both flushes below are durable.
     let rewrite_ids: Vec<ContainerId> = rewrites.iter().map(|(id, _)| *id).collect();
-    let mut retired: Vec<ContainerId> = Vec::new();
+    let mut doomed: Vec<ContainerId> = Vec::new();
     for ((old, meta), data) in rewrites
         .iter()
         .zip(storage.get_container_data_many(&rewrite_ids))
@@ -173,7 +222,7 @@ pub fn reverse_dedup(
             new: new_id,
         })?);
         let mut builder = ContainerBuilder::new(new_id, meta.live_raw_bytes() as usize)
-            .with_compression(config.compression);
+            .with_compression(compression);
         for entry in meta.entries.iter().filter(|e| !e.deleted) {
             // Decompress through the validated accessor and recompress under
             // the current knob: rewrites are also the migration path between
@@ -184,7 +233,9 @@ pub fn reverse_dedup(
         storage.put_container(new_data, &new_meta)?;
         for entry in new_meta.entries.iter() {
             global.relocate(&entry.fp, new_id)?;
-            relocations.insert(entry.fp, new_id);
+            if let Some(relocations) = relocations.as_deref_mut() {
+                relocations.insert(entry.fp, new_id);
+            }
         }
         stats.containers_rewritten += 1;
         // Saturating: rewriting a compressed container with compression now
@@ -192,7 +243,7 @@ pub fn reverse_dedup(
         stats.bytes_reclaimed += (meta.data_len as u64).saturating_sub(new_meta.data_len as u64);
         meta_cache.put(new_meta);
         meta_cache.forget(*old);
-        retired.push(*old);
+        doomed.push(*old);
     }
 
     if !dead.is_empty() {
@@ -203,74 +254,11 @@ pub fn reverse_dedup(
     // unreferenced old objects go, then the journal's promise is discharged.
     meta_cache.flush()?;
     global.flush()?;
-    let mut doomed = retired;
     doomed.extend(dead);
     storage.delete_containers(&doomed)?;
     for seq in seqs {
         journal.retire(seq)?;
     }
-    Ok((stats, relocations))
-}
-
-/// Rewrite `id` without its deleted chunks once the deleted ratio exceeds
-/// the configured threshold; delete it entirely when nothing live remains.
-///
-/// Self-contained journaled two-phase primitive (used by SCC and vacuum):
-/// records its intent, writes the replacement container under a **fresh id**,
-/// flips the global index, flushes both the metadata cache and the index,
-/// and only then deletes the old object and retires the intent. Recipes
-/// still naming the old id resolve through the global-index fallback on the
-/// restore path.
-pub(crate) fn maybe_rewrite(
-    storage: &StorageLayer,
-    global: &GlobalIndex,
-    meta_cache: &mut MetaCache,
-    journal: &Journal,
-    config: &SlimConfig,
-    id: ContainerId,
-    stats: &mut ReverseDedupStats,
-) -> Result<()> {
-    let meta = meta_cache.get(id)?.clone();
-    if meta.live_chunks() == 0 {
-        stats.containers_deleted += 1;
-        stats.bytes_reclaimed += meta.data_len as u64;
-        meta_cache.forget(id);
-        let seq = journal.record(&Intent::DropContainers { ids: vec![id] })?;
-        // The relocations that emptied this container may still be buffered;
-        // make them durable before the object disappears (no dangle).
-        meta_cache.flush()?;
-        global.flush()?;
-        storage.delete_container(id)?;
-        journal.retire(seq)?;
-        return Ok(());
-    }
-    if meta.deleted_ratio() <= config.container_rewrite_threshold {
-        return Ok(());
-    }
-    let data = storage.get_container_data(id)?;
-    let new_id = storage.allocate_container_id();
-    let seq = journal.record(&Intent::RewriteContainer {
-        old: id,
-        new: new_id,
-    })?;
-    let mut builder = ContainerBuilder::new(new_id, meta.live_raw_bytes() as usize)
-        .with_compression(config.compression);
-    for entry in meta.entries.iter().filter(|e| !e.deleted) {
-        builder.push(entry.fp, &entry.payload_from(&data)?);
-    }
-    let (new_data, new_meta) = builder.seal();
-    storage.put_container(new_data, &new_meta)?;
-    for entry in new_meta.entries.iter() {
-        global.relocate(&entry.fp, new_id)?;
-    }
-    stats.containers_rewritten += 1;
-    stats.bytes_reclaimed += (meta.data_len as u64).saturating_sub(new_meta.data_len as u64);
-    meta_cache.put(new_meta);
-    meta_cache.forget(id);
-    meta_cache.flush()?;
-    global.flush()?;
-    storage.delete_container(id)?;
-    journal.retire(seq)?;
     Ok(())
 }
 
@@ -364,11 +352,14 @@ mod tests {
     #[test]
     fn duplicate_removed_from_old_container() {
         let env = setup();
-        let old = make_container(&env.storage, &[(1, 100), (2, 100), (3, 100)]);
+        // Six chunks: losing one (1/6) stays under the 20 % rewrite
+        // threshold, so the old container keeps its id.
+        let chunks: Vec<(u8, usize)> = (1..=6).map(|tag| (tag, 100)).collect();
+        let old = make_container(&env.storage, &chunks);
         let mut cache = MetaCache::new(env.storage.clone(), 8);
         let _ = run(&env, &mut cache, &[old]);
         // A new container re-stores chunk 2 (missed duplicate).
-        let new = make_container(&env.storage, &[(2, 100), (4, 100)]);
+        let new = make_container(&env.storage, &[(2, 100), (7, 100)]);
         let (stats, _) = run(&env, &mut cache, &[new]);
         assert_eq!(stats.duplicates_removed, 1);
         assert_eq!(stats.bytes_marked, 100);

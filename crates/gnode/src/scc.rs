@@ -31,7 +31,7 @@ use slim_types::{
 
 use crate::journal::{Intent, Journal};
 use crate::meta_cache::MetaCache;
-use crate::reverse_dedup::{maybe_rewrite, RelocationMap, ReverseDedupStats};
+use crate::reverse_dedup::{rewrite_containers, RelocationMap, ReverseDedupStats};
 
 /// Outcome of one SCC pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -212,15 +212,20 @@ pub fn compact_sparse_containers(
         stats.recipes_rewritten += 1;
     }
 
-    // Physically shrink the sparse containers we touched (each call is its
-    // own journaled two-phase rewrite).
-    for &container in &sparse_sorted {
-        maybe_rewrite(
-            storage, global, meta_cache, journal, config, container, rd_stats,
-        )?;
-    }
-    meta_cache.flush()?;
-    global.flush()?;
+    // Physically shrink the sparse containers we touched: one journaled
+    // two-phase rewrite over all of them, which also makes the marks and
+    // index flips above durable.
+    rewrite_containers(
+        storage,
+        global,
+        meta_cache,
+        journal,
+        config.compression,
+        config.container_rewrite_threshold,
+        &sparse_sorted,
+        None,
+        rd_stats,
+    )?;
     if let Some(seq) = repoint_seq {
         journal.retire(seq)?;
     }
@@ -381,6 +386,146 @@ mod tests {
             after < before,
             "SCC should reduce container reads: before={before} after={after}"
         );
+    }
+
+    /// Forwards to an [`Oss`], logging `(operation, container keys named)`
+    /// for every read of container data and every container delete.
+    struct Counting {
+        inner: Oss,
+        calls: std::sync::Mutex<Vec<(&'static str, usize)>>,
+    }
+
+    impl Counting {
+        fn note<'a>(&self, op: &'static str, keys: impl Iterator<Item = &'a str>, suffix: &str) {
+            let n = keys
+                .filter(|k| k.starts_with(slim_types::layout::CONTAINER_PREFIX))
+                .filter(|k| k.ends_with(suffix))
+                .count();
+            if n > 0 {
+                self.calls.lock().unwrap().push((op, n));
+            }
+        }
+    }
+
+    impl slim_oss::ObjectStore for Counting {
+        fn put(&self, key: &str, value: bytes::Bytes) -> Result<()> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &str) -> Result<bytes::Bytes> {
+            self.note("get", [key].into_iter(), "/data");
+            self.inner.get(key)
+        }
+        fn get_range(&self, key: &str, start: u64, len: u64) -> Result<bytes::Bytes> {
+            self.inner.get_range(key, start, len)
+        }
+        fn delete(&self, key: &str) -> Result<()> {
+            self.note("delete", [key].into_iter(), "");
+            self.inner.delete(key)
+        }
+        fn exists(&self, key: &str) -> Result<bool> {
+            self.inner.exists(key)
+        }
+        fn len(&self, key: &str) -> Result<Option<u64>> {
+            self.inner.len(key)
+        }
+        fn get_many(&self, keys: &[String]) -> Vec<Result<bytes::Bytes>> {
+            self.note("get_many", keys.iter().map(|k| k.as_str()), "/data");
+            self.inner.get_many(keys)
+        }
+        fn delete_many(&self, keys: &[String]) -> Vec<Result<()>> {
+            self.note("delete_many", keys.iter().map(|k| k.as_str()), "");
+            self.inner.delete_many(keys)
+        }
+        fn list(&self, prefix: &str) -> Vec<String> {
+            self.inner.list(prefix)
+        }
+    }
+
+    #[test]
+    fn sparse_containers_are_rewritten_as_one_batch() {
+        let store = Arc::new(Counting {
+            inner: Oss::in_memory(),
+            calls: Default::default(),
+        });
+        let storage = StorageLayer::open(store.clone());
+        let global =
+            GlobalIndex::open_with(store.clone(), RocksConfig::small_for_tests(), 4096).unwrap();
+        let journal = Journal::open(store.clone());
+        let config = SlimConfig::small_for_tests();
+        let fp = |b: u8| Fingerprint::from_slice(&[b; 20]).unwrap();
+
+        // Three old containers of eight chunks; the version uses two of
+        // each: utilization 0.25 < 0.30 makes them sparse, and moving the
+        // two out leaves 0.25 > 0.20 deleted, so each is rewritten.
+        let file = FileId::new("f");
+        let mut records = Vec::new();
+        let mut expected = Vec::new();
+        for c in 0..3u8 {
+            let id = storage.allocate_container_id();
+            let mut b = ContainerBuilder::new(id, 1 << 20);
+            for k in 0..8u8 {
+                let tag = c * 8 + k;
+                b.push(fp(tag), &[tag; 100]);
+                global.insert(&fp(tag), id).unwrap();
+                if k < 2 {
+                    records.push(slim_types::ChunkRecord::new(fp(tag), id, 100, 0));
+                    expected.extend_from_slice(&[tag; 100]);
+                }
+            }
+            let (data, meta) = b.seal();
+            storage.put_container(data, &meta).unwrap();
+        }
+        let recipe = Recipe {
+            segments: vec![slim_types::SegmentRecipe::new(records)],
+        };
+        let (_, spans) = recipe.encode();
+        let index = RecipeIndex::build(&recipe, &spans, config.sample_rate);
+        storage
+            .put_recipe(&file, VersionId(1), &recipe, &index)
+            .unwrap();
+
+        let mut cache = MetaCache::new(storage.clone(), 64);
+        let mut rd = ReverseDedupStats::default();
+        store.calls.lock().unwrap().clear();
+        let (stats, garbage) = compact_sparse_containers(
+            &storage,
+            &global,
+            &mut cache,
+            &journal,
+            &config,
+            VersionId(1),
+            std::slice::from_ref(&file),
+            &[],
+            RelocationMap::new(),
+            &mut rd,
+        )
+        .unwrap();
+        assert_eq!(stats.sparse_containers, 3);
+        assert_eq!(garbage.len(), 3);
+        assert_eq!(rd.containers_rewritten, 3);
+        assert!(journal.is_empty());
+
+        let calls = store.calls.lock().unwrap().clone();
+        let of = |op: &str| -> Vec<usize> {
+            calls
+                .iter()
+                .filter(|(o, _)| *o == op)
+                .map(|(_, n)| *n)
+                .collect()
+        };
+        assert_eq!(of("get_many"), vec![3], "one batched read of the three");
+        assert_eq!(
+            of("delete_many"),
+            vec![6],
+            "one batched delete, data + meta"
+        );
+        assert_eq!(of("delete"), Vec::<usize>::new(), "no per-container delete");
+
+        let restored = RestoreEngine::new(&storage, Some(&global))
+            .restore_file(&file, VersionId(1), &RestoreOptions::from_config(&config))
+            .unwrap()
+            .0;
+        assert_eq!(restored, expected);
     }
 
     #[test]

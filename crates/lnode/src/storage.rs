@@ -89,14 +89,7 @@ impl StorageLayer {
 
     /// Read a container's data object, verifying its CRC32 trailer.
     pub fn get_container_data(&self, id: ContainerId) -> Result<Bytes> {
-        let buf = self
-            .oss
-            .get(&layout::container_data(id))
-            .map_err(|e| match e {
-                SlimError::ObjectNotFound(_) => SlimError::ContainerMissing(id.0),
-                other => other,
-            })?;
-        crc::unseal(&buf, "container data")
+        unseal_data(id, self.oss.get(&layout::container_data(id)))
     }
 
     /// Read a byte range of a container's data object.
@@ -110,15 +103,10 @@ impl StorageLayer {
     /// mapping as [`StorageLayer::get_container_data`].
     pub fn get_container_data_many(&self, ids: &[ContainerId]) -> Vec<Result<Bytes>> {
         let keys: Vec<String> = ids.iter().map(|id| layout::container_data(*id)).collect();
-        self.oss
-            .get_many(&keys)
-            .into_iter()
-            .zip(ids)
-            .map(|(r, id)| match r {
-                Ok(buf) => crc::unseal(&buf, "container data"),
-                Err(SlimError::ObjectNotFound(_)) => Err(SlimError::ContainerMissing(id.0)),
-                Err(other) => Err(other),
-            })
+        let objects = self.oss.get_many(&keys);
+        ids.iter()
+            .zip(objects)
+            .map(|(id, object)| unseal_data(*id, object))
             .collect()
     }
 
@@ -128,28 +116,16 @@ impl StorageLayer {
     /// mapping as [`StorageLayer::get_container_meta`].
     pub fn get_container_meta_many(&self, ids: &[ContainerId]) -> Vec<Result<ContainerMeta>> {
         let keys: Vec<String> = ids.iter().map(|id| layout::container_meta(*id)).collect();
-        self.oss
-            .get_many(&keys)
-            .into_iter()
-            .zip(ids)
-            .map(|(r, id)| match r {
-                Ok(buf) => ContainerMeta::decode(&crc::unseal(&buf, "container meta")?),
-                Err(SlimError::ObjectNotFound(_)) => Err(SlimError::ContainerMissing(id.0)),
-                Err(other) => Err(other),
-            })
+        let objects = self.oss.get_many(&keys);
+        ids.iter()
+            .zip(objects)
+            .map(|(id, object)| decode_meta(*id, object))
             .collect()
     }
 
     /// Read a container's metadata, verifying its CRC32 trailer.
     pub fn get_container_meta(&self, id: ContainerId) -> Result<ContainerMeta> {
-        let buf = self
-            .oss
-            .get(&layout::container_meta(id))
-            .map_err(|e| match e {
-                SlimError::ObjectNotFound(_) => SlimError::ContainerMissing(id.0),
-                other => other,
-            })?;
-        ContainerMeta::decode(&crc::unseal(&buf, "container meta")?)
+        decode_meta(id, self.oss.get(&layout::container_meta(id)))
     }
 
     /// Whether a container still exists.
@@ -159,8 +135,7 @@ impl StorageLayer {
 
     /// Delete both objects of a container (GC sweep).
     pub fn delete_container(&self, id: ContainerId) -> Result<()> {
-        self.oss.delete(&layout::container_data(id))?;
-        self.oss.delete(&layout::container_meta(id))
+        self.delete_containers(&[id])
     }
 
     /// Delete both objects of many containers in one batched OSS sweep.
@@ -298,6 +273,25 @@ impl StorageLayer {
         }
         Ok(total)
     }
+}
+
+/// A fetched object of container `id`: a missing object means a missing
+/// container.
+fn fetched(id: ContainerId, object: Result<Bytes>) -> Result<Bytes> {
+    object.map_err(|e| match e {
+        SlimError::ObjectNotFound(_) => SlimError::ContainerMissing(id.0),
+        other => other,
+    })
+}
+
+/// The CRC-verified payload of a fetched container data object.
+fn unseal_data(id: ContainerId, object: Result<Bytes>) -> Result<Bytes> {
+    crc::unseal(&fetched(id, object)?, "container data")
+}
+
+/// The CRC-verified, decoded metadata of a fetched container meta object.
+fn decode_meta(id: ContainerId, object: Result<Bytes>) -> Result<ContainerMeta> {
+    ContainerMeta::decode(&crc::unseal(&fetched(id, object)?, "container meta")?)
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ use slim_types::{Deadline, Result, SlimError};
 use crate::endpoint;
 use crate::fault::{splitmix64, unit_f64};
 use crate::health::HealthTracker;
-use crate::store::ObjectStore;
+use crate::store::{only, ObjectStore};
 
 /// Tuning of one endpoint's circuit breaker.
 #[derive(Debug, Clone)]
@@ -329,6 +329,15 @@ fn expired_err(op: &str) -> SlimError {
     }
 }
 
+fn circuit_open_err(op: &str) -> SlimError {
+    SlimError::CircuitOpen(format!("{op}: every endpoint's breaker refused the call"))
+}
+
+/// The same refusal for every item of a call that was never issued.
+fn refuse<T>(items: usize, err: impl Fn() -> SlimError) -> Vec<Result<T>> {
+    (0..items).map(|_| Err(err())).collect()
+}
+
 fn sick_count<T>(results: &[Result<T>]) -> usize {
     results
         .iter()
@@ -347,44 +356,27 @@ struct Shared {
 }
 
 impl Shared {
-    /// Run one attempt pinned to `endpoint`, folding latency and endpoint
-    /// health into the tracker and breaker. `pooled` feeds the hedge-delay
-    /// quantile (single-op reads only).
-    fn attempt<T>(
-        &self,
-        endpoint: usize,
-        pooled: bool,
-        call: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        let _pin = endpoint::pin(endpoint);
-        let start = Instant::now();
-        let result = call();
-        let elapsed = start.elapsed();
-        let healthy = result.as_ref().err().is_none_or(|e| !endpoint_sick(e));
-        if pooled {
-            self.health.record(endpoint, elapsed, healthy);
-        } else {
-            self.health.record_unpooled(endpoint, elapsed, healthy);
-        }
-        self.breaker.record(endpoint, healthy);
-        result
-    }
-
-    /// Run one whole-batch attempt pinned to `endpoint`; health sees the
+    /// Run one whole-batch attempt pinned to `endpoint`, folding latency and
+    /// endpoint health into the tracker and breaker; health sees the
     /// per-item latency so batch size does not distort endpoint scores.
+    /// `pooled` also feeds that latency to the hedge-delay quantile.
     fn attempt_batch<T>(
         &self,
         endpoint: usize,
         items: usize,
+        pooled: bool,
         call: impl FnOnce() -> Vec<Result<T>>,
     ) -> Vec<Result<T>> {
         let _pin = endpoint::pin(endpoint);
         let start = Instant::now();
         let results = call();
-        let elapsed = start.elapsed();
+        let per_item = start.elapsed() / items.max(1) as u32;
         let healthy = sick_count(&results) == 0;
-        self.health
-            .record_unpooled(endpoint, elapsed / items.max(1) as u32, healthy);
+        if pooled {
+            self.health.record(endpoint, per_item, healthy);
+        } else {
+            self.health.record_unpooled(endpoint, per_item, healthy);
+        }
         self.breaker.record(endpoint, healthy);
         results
     }
@@ -452,175 +444,9 @@ impl HedgedStore {
         &self.shared.breaker
     }
 
-    /// A hedgeable single read: deadline gate, health routing, and —
-    /// once the delay quantile is live — the primary/backup race.
-    fn read<T: Send + 'static>(
-        &self,
-        op: &'static str,
-        call: impl Fn() -> Result<T> + Send + Sync + 'static,
-    ) -> Result<T> {
-        let deadline = Deadline::current();
-        if deadline.expired() {
-            self.shared.metrics.deadline_refused.inc();
-            return Err(expired_err(op));
-        }
-        let started = Instant::now();
-        let result = self.read_raced(op, deadline, call);
-        self.shared
-            .metrics
-            .read_nanos
-            .record_duration(started.elapsed());
-        result
-    }
-
-    fn read_raced<T: Send + 'static>(
-        &self,
-        op: &'static str,
-        deadline: Deadline,
-        call: impl Fn() -> Result<T> + Send + Sync + 'static,
-    ) -> Result<T> {
-        let shared = &self.shared;
-        if !shared.policy.enabled || shared.policy.endpoints <= 1 {
-            return call();
-        }
-        let (primary, backup) = shared.route();
-        let Some(primary) = primary else {
-            shared.breaker.record_shed();
-            return Err(SlimError::CircuitOpen(format!(
-                "{op}: every endpoint's breaker refused the call"
-            )));
-        };
-        let (delay, backup) = match (shared.hedge_delay(), backup) {
-            (Some(delay), Some(backup)) => (delay, backup),
-            // Cold/fast store, or no second endpoint admitted: single
-            // attempt on the chosen endpoint, in the caller's thread.
-            _ => return shared.attempt(primary, true, call),
-        };
-        let shared = self.shared.clone();
-        let call = Arc::new(call);
-        let (tx, rx) = mpsc::channel::<(bool, Result<T>)>();
-        {
-            let shared = shared.clone();
-            let call = call.clone();
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let result = shared.attempt(primary, true, || call());
-                let _ = tx.send((false, result));
-            });
-        }
-        let wait = deadline.remaining().map_or(delay, |rem| delay.min(rem));
-        match rx.recv_timeout(wait) {
-            Ok((_, Ok(value))) => return Ok(value),
-            Ok((_, Err(err))) if endpoint_sick(&err) => {
-                // Primary failed fast with a retryable error: fail over to
-                // the backup immediately instead of waiting out the delay.
-                shared.metrics.failovers.inc();
-                {
-                    let shared = shared.clone();
-                    let tx = tx.clone();
-                    std::thread::spawn(move || {
-                        let result = shared.attempt(backup, true, || call());
-                        let _ = tx.send((true, result));
-                    });
-                }
-                drop(tx);
-                let msg = match deadline.remaining() {
-                    None => rx.recv().ok(),
-                    Some(rem) if rem.is_zero() => None,
-                    Some(rem) => rx.recv_timeout(rem).ok(),
-                };
-                return match msg {
-                    Some((_, Ok(value))) => Ok(value),
-                    // Surface the backup's data-level error (the primary's
-                    // transient masked it), the primary's error otherwise.
-                    Some((_, Err(be))) if !endpoint_sick(&be) => Err(be),
-                    Some(_) => Err(err),
-                    None => Err(expired_err(op)),
-                };
-            }
-            Ok((_, Err(err))) => return Err(err), // data-level: hedging won't help
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("primary sender held until after the race")
-            }
-        }
-        // The primary has been outstanding past the hedge delay: race it.
-        shared.metrics.issued.inc();
-        shared.metrics.delay_nanos.record_duration(wait);
-        {
-            let shared = shared.clone();
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let result = shared.attempt(backup, true, || call());
-                let _ = tx.send((true, result));
-            });
-        }
-        drop(tx);
-        let mut sick_primary: Option<SlimError> = None;
-        let mut sick_hedge: Option<SlimError> = None;
-        loop {
-            let received = match deadline.remaining() {
-                None => rx.recv().ok(),
-                Some(rem) if rem.is_zero() => return Err(expired_err(op)),
-                Some(rem) => match rx.recv_timeout(rem) {
-                    Ok(msg) => Some(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => return Err(expired_err(op)),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                },
-            };
-            let Some((from_hedge, result)) = received else {
-                // Both attempts reported, neither produced a winner.
-                shared.metrics.wasted.inc();
-                return Err(sick_primary
-                    .take()
-                    .or_else(|| sick_hedge.take())
-                    .unwrap_or_else(|| expired_err(op)));
-            };
-            match result {
-                Ok(value) => {
-                    let (mut value, mut from_hedge) = (value, from_hedge);
-                    // Both results already queued: a seeded coin decides so
-                    // the tie-break replays deterministically.
-                    if let Ok((other_hedge, Ok(other))) = rx.try_recv() {
-                        let ordinal = shared.ties.fetch_add(1, Ordering::Relaxed);
-                        let pick_hedge =
-                            splitmix64(shared.policy.seed.wrapping_add(ordinal)) & 1 == 1;
-                        if pick_hedge != from_hedge {
-                            value = other;
-                            from_hedge = other_hedge;
-                        }
-                    }
-                    if from_hedge {
-                        shared.metrics.won.inc();
-                    } else {
-                        shared.metrics.wasted.inc();
-                    }
-                    return Ok(value);
-                }
-                Err(err) if endpoint_sick(&err) => {
-                    // Keep waiting: the other attempt may still succeed.
-                    if from_hedge {
-                        sick_hedge = Some(err);
-                    } else {
-                        sick_primary = Some(err);
-                    }
-                }
-                Err(err) => {
-                    // Data-level error: every endpoint would answer the same.
-                    if from_hedge {
-                        shared.metrics.won.inc();
-                    } else {
-                        shared.metrics.wasted.inc();
-                    }
-                    return Err(err);
-                }
-            }
-        }
-    }
-
-    /// A hedgeable batch read: the whole batch races, first completed
-    /// batch wins; a batch that completes with retryable per-item errors
-    /// waits for (or triggers) its twin and the cleaner batch is returned.
+    /// A hedgeable read of `items` objects (a single read is a batch of
+    /// one): deadline gate, health routing, and — once the delay quantile
+    /// is live — the primary/backup race.
     fn read_many<T: Send + 'static>(
         &self,
         op: &'static str,
@@ -630,27 +456,47 @@ impl HedgedStore {
         let deadline = Deadline::current();
         if deadline.expired() {
             self.shared.metrics.deadline_refused.inc();
-            return (0..items).map(|_| Err(expired_err(op))).collect();
+            return refuse(items, || expired_err(op));
         }
+        let started = Instant::now();
         let shared = &self.shared;
-        if !shared.policy.enabled || shared.policy.endpoints <= 1 || items == 0 {
-            return call();
-        }
-        let (primary, backup) = shared.route();
-        let Some(primary) = primary else {
-            shared.breaker.record_shed();
-            return (0..items)
-                .map(|_| {
-                    Err(SlimError::CircuitOpen(format!(
-                        "{op}: every endpoint's breaker refused the call"
-                    )))
-                })
-                .collect();
+        let results = if !shared.policy.enabled || shared.policy.endpoints <= 1 || items == 0 {
+            call()
+        } else {
+            match shared.route() {
+                (None, _) => {
+                    shared.breaker.record_shed();
+                    refuse(items, || circuit_open_err(op))
+                }
+                (Some(primary), backup) => match (shared.hedge_delay(), backup) {
+                    (Some(delay), Some(backup)) => {
+                        self.race(op, items, deadline, (primary, backup), delay, call)
+                    }
+                    // Cold/fast store, or no second endpoint admitted: one
+                    // attempt on the chosen endpoint, in the caller's thread.
+                    _ => shared.attempt_batch(primary, items, items == 1, call),
+                },
+            }
         };
-        let (delay, backup) = match (shared.hedge_delay(), backup) {
-            (Some(delay), Some(backup)) => (delay, backup),
-            _ => return shared.attempt_batch(primary, items, call),
-        };
+        shared.metrics.read_nanos.record_duration(started.elapsed());
+        results
+    }
+
+    /// The race: the whole batch runs on `primary`; once it has been
+    /// outstanding for the hedge delay it also runs on `backup`, and the
+    /// first clean batch wins. A batch that completes with retryable
+    /// per-item errors waits for (or triggers) its twin and the cleaner
+    /// batch is returned. A single read's latency feeds the hedge-delay
+    /// pool; a batch's per-item latency is not comparable and does not.
+    fn race<T: Send + 'static>(
+        &self,
+        op: &'static str,
+        items: usize,
+        deadline: Deadline,
+        (primary, backup): (usize, usize),
+        delay: Duration,
+        call: impl Fn() -> Vec<Result<T>> + Send + Sync + 'static,
+    ) -> Vec<Result<T>> {
         let shared = self.shared.clone();
         let call = Arc::new(call);
         let (tx, rx) = mpsc::channel::<(bool, Vec<Result<T>>)>();
@@ -659,7 +505,7 @@ impl HedgedStore {
             let call = call.clone();
             let tx = tx.clone();
             std::thread::spawn(move || {
-                let results = shared.attempt_batch(endpoint, items, || call());
+                let results = shared.attempt_batch(endpoint, items, items == 1, || call());
                 let _ = tx.send((is_hedge, results));
             });
         };
@@ -677,10 +523,12 @@ impl HedgedStore {
             Some(rem) => rx.recv_timeout(rem).ok(),
         };
         match rx.recv_timeout(wait) {
+            // Clean, or failed at the data level: hedging won't help.
             Ok((_, results)) if sick_count(&results) == 0 => results,
             Ok((_, results)) => {
-                // Primary completed but some items hit retryable errors:
-                // fail the whole batch over and keep the cleaner outcome.
+                // Primary failed fast with retryable errors: fail the whole
+                // batch over immediately instead of waiting out the delay,
+                // and keep the cleaner outcome.
                 shared.metrics.failovers.inc();
                 spawn(backup, true);
                 drop(tx);
@@ -690,45 +538,45 @@ impl HedgedStore {
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
+                // The primary has been outstanding past the hedge delay.
                 shared.metrics.issued.inc();
                 shared.metrics.delay_nanos.record_duration(wait);
                 spawn(backup, true);
                 drop(tx);
-                let Some((from_hedge, first)) = recv_bounded(&rx) else {
-                    return (0..items).map(|_| Err(expired_err(op))).collect();
+                let Some((first_hedge, first)) = recv_bounded(&rx) else {
+                    return refuse(items, || expired_err(op));
                 };
-                if sick_count(&first) == 0 {
-                    if from_hedge {
-                        shared.metrics.won.inc();
-                    } else {
-                        shared.metrics.wasted.inc();
+                let (from_hedge, results) = if sick_count(&first) == 0 {
+                    match rx.try_recv() {
+                        // Both results already queued: a seeded coin decides
+                        // so the tie-break replays deterministically.
+                        Ok((twin_hedge, twin)) if sick_count(&twin) == 0 => {
+                            let ordinal = shared.ties.fetch_add(1, Ordering::Relaxed);
+                            let pick_hedge =
+                                splitmix64(shared.policy.seed.wrapping_add(ordinal)) & 1 == 1;
+                            if pick_hedge == twin_hedge {
+                                (twin_hedge, twin)
+                            } else {
+                                (first_hedge, first)
+                            }
+                        }
+                        _ => (first_hedge, first),
                     }
-                    return first;
+                } else {
+                    // Keep waiting: the other attempt may still succeed.
+                    match recv_bounded(&rx) {
+                        Some((twin_hedge, twin)) if sick_count(&twin) < sick_count(&first) => {
+                            (twin_hedge, twin)
+                        }
+                        _ => (first_hedge, first),
+                    }
+                };
+                if from_hedge {
+                    shared.metrics.won.inc();
+                } else {
+                    shared.metrics.wasted.inc();
                 }
-                match recv_bounded(&rx) {
-                    Some((twin_hedge, twin)) => {
-                        let use_twin = sick_count(&twin) < sick_count(&first);
-                        let won = if use_twin { twin_hedge } else { from_hedge };
-                        if won {
-                            shared.metrics.won.inc();
-                        } else {
-                            shared.metrics.wasted.inc();
-                        }
-                        if use_twin {
-                            twin
-                        } else {
-                            first
-                        }
-                    }
-                    None => {
-                        if from_hedge {
-                            shared.metrics.won.inc();
-                        } else {
-                            shared.metrics.wasted.inc();
-                        }
-                        first
-                    }
-                }
+                results
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 unreachable!("primary batch sender held until after the race")
@@ -738,28 +586,6 @@ impl HedgedStore {
 
     /// A routed, non-hedged operation (writes, deletes, metadata probes):
     /// deadline gate, endpoint selection, one attempt.
-    fn routed<T>(&self, op: &'static str, call: impl FnOnce() -> Result<T>) -> Result<T> {
-        let deadline = Deadline::current();
-        if deadline.expired() {
-            self.shared.metrics.deadline_refused.inc();
-            return Err(expired_err(op));
-        }
-        let shared = &self.shared;
-        if !shared.policy.enabled || shared.policy.endpoints <= 1 {
-            return call();
-        }
-        match shared.route().0 {
-            Some(endpoint) => shared.attempt(endpoint, false, call),
-            None => {
-                shared.breaker.record_shed();
-                Err(SlimError::CircuitOpen(format!(
-                    "{op}: every endpoint's breaker refused the call"
-                )))
-            }
-        }
-    }
-
-    /// A routed, non-hedged batch (deletes).
     fn routed_many<T>(
         &self,
         op: &'static str,
@@ -769,23 +595,17 @@ impl HedgedStore {
         let deadline = Deadline::current();
         if deadline.expired() {
             self.shared.metrics.deadline_refused.inc();
-            return (0..items).map(|_| Err(expired_err(op))).collect();
+            return refuse(items, || expired_err(op));
         }
         let shared = &self.shared;
         if !shared.policy.enabled || shared.policy.endpoints <= 1 || items == 0 {
             return call();
         }
         match shared.route().0 {
-            Some(endpoint) => shared.attempt_batch(endpoint, items, call),
+            Some(endpoint) => shared.attempt_batch(endpoint, items, false, call),
             None => {
                 shared.breaker.record_shed();
-                (0..items)
-                    .map(|_| {
-                        Err(SlimError::CircuitOpen(format!(
-                            "{op}: every endpoint's breaker refused the call"
-                        )))
-                    })
-                    .collect()
+                refuse(items, || circuit_open_err(op))
             }
         }
     }
@@ -793,13 +613,13 @@ impl HedgedStore {
 
 impl ObjectStore for HedgedStore {
     fn put(&self, key: &str, value: Bytes) -> Result<()> {
-        self.routed("put", || self.shared.inner.put(key, value))
+        only(self.routed_many("put", 1, || vec![self.shared.inner.put(key, value)]))
     }
 
     fn get(&self, key: &str) -> Result<Bytes> {
         let inner = self.shared.inner.clone();
         let key = key.to_string();
-        self.read("get", move || inner.get(&key))
+        only(self.read_many("get", 1, move || vec![inner.get(&key)]))
     }
 
     fn get_raw(&self, key: &str) -> Result<Bytes> {
@@ -811,21 +631,21 @@ impl ObjectStore for HedgedStore {
     fn get_range(&self, key: &str, start: u64, len: u64) -> Result<Bytes> {
         let inner = self.shared.inner.clone();
         let key = key.to_string();
-        self.read("get", move || inner.get_range(&key, start, len))
+        only(self.read_many("get", 1, move || vec![inner.get_range(&key, start, len)]))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.routed("delete", || self.shared.inner.delete(key))
+        only(self.routed_many("delete", 1, || vec![self.shared.inner.delete(key)]))
     }
 
     fn exists(&self, key: &str) -> Result<bool> {
-        self.routed("head", || self.shared.inner.exists(key))
+        only(self.routed_many("head", 1, || vec![self.shared.inner.exists(key)]))
     }
 
     fn len(&self, key: &str) -> Result<Option<u64>> {
         let inner = self.shared.inner.clone();
         let key = key.to_string();
-        self.read("head", move || inner.len(&key))
+        only(self.read_many("head", 1, move || vec![inner.len(&key)]))
     }
 
     fn get_many(&self, keys: &[String]) -> Vec<Result<Bytes>> {
@@ -968,6 +788,64 @@ mod tests {
             "one call per read"
         );
         assert!(store.health().observations(0) + store.health().observations(1) == 8);
+    }
+
+    #[test]
+    fn single_read_is_the_one_item_batch() {
+        // Twin stores, one driven through `get`, one through one-key
+        // `get_many`: same hedge and breaker counters, one `read_nanos`
+        // sample per call, and both feed the health tracker and the
+        // hedge-delay pool.
+        let run = |read: &dyn Fn(&HedgedStore) -> Result<Bytes>| {
+            let oss = oss_with_endpoints(2);
+            oss.put("k", Bytes::from_static(b"v")).unwrap();
+            let registry = Registry::new();
+            let store = HedgedStore::with_telemetry(
+                Arc::new(oss),
+                HedgePolicy::for_endpoints(2),
+                &registry.scope("oss"),
+            );
+            for _ in 0..8 {
+                assert_eq!(read(&store).unwrap(), Bytes::from_static(b"v"));
+            }
+            let refused = Deadline::within(Duration::ZERO).scope(|| read(&store));
+            assert!(matches!(refused, Err(SlimError::Timeout { .. })));
+            let observed = store.health().observations(0) + store.health().observations(1);
+            for e in 0..2 {
+                for _ in 0..store.shared.policy.breaker.failure_threshold {
+                    store.breaker().record(e, false);
+                }
+            }
+            assert!(matches!(read(&store), Err(SlimError::CircuitOpen(_))));
+            let snap = registry.snapshot();
+            let counters: Vec<(String, u64)> = snap
+                .counters
+                .iter()
+                .filter(|(name, _)| {
+                    name.starts_with("oss.hedge.") || name.starts_with("oss.breaker.")
+                })
+                .map(|(name, value)| (name.clone(), *value))
+                .collect();
+            let samples = |name: &str| snap.histograms[name].count;
+            (
+                counters,
+                observed,
+                samples("oss.hedge.read_nanos"),
+                samples("oss.health.latency_nanos"),
+            )
+        };
+        let single = run(&|store| store.get("k"));
+        let batched = run(&|store| store.get_many(&["k".to_string()]).pop().unwrap());
+        assert_eq!(single, batched);
+        let (counters, observed, read_samples, pooled) = single;
+        assert!(counters.contains(&("oss.hedge.deadline_refused".to_string(), 1)));
+        assert!(counters.contains(&("oss.breaker.shed".to_string(), 1)));
+        assert_eq!(observed, 8, "every read scored an endpoint");
+        assert_eq!(
+            read_samples, 9,
+            "one sample per read past the deadline gate"
+        );
+        assert_eq!(pooled, 8, "every read fed the hedge-delay pool");
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub use hedge::{BreakerPolicy, BreakerStage, CircuitBreaker, HedgePolicy, Hedged
 pub use metrics::{MetricsSnapshot, OssMetrics};
 pub use namespace::NamespacedStore;
 pub use network::NetworkModel;
-pub use redundant::{reconstruct_object, RedundancyMetrics, RedundantStore, RepairSource};
+pub use redundant::{
+    object_state, reconstruct_object, ObjectState, RedundancyMetrics, RedundantStore, RepairSource,
+};
 pub use retry::{next_jitter_salt, RetryMetrics, RetryPolicy, RetryingStore};
 pub use store::{ObjectStore, Oss};

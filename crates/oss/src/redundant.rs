@@ -100,21 +100,45 @@ impl Default for RedundancyMetrics {
     }
 }
 
-/// Read one candidate source and accept it only if its CRC trailer checks
-/// out. Any failure (missing, transient, corrupt) disqualifies the source.
-fn intact_copy(store: &dyn ObjectStore, key: &str) -> Option<Bytes> {
+/// What a raw read of one CRC-sealed object found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ObjectState {
+    /// Present with a valid CRC trailer; the sealed bytes as stored.
+    Intact(Bytes),
+    /// Present, but the trailer is absent or does not match the payload.
+    Corrupt,
+    /// No object under the key.
+    Missing,
+}
+
+/// Whether the object stored under `key` is intact — the one detection
+/// read: [`ObjectStore::get_raw`] (never healed on the way) plus the CRC
+/// trailer check. I/O errors other than a missing object are propagated.
+pub fn object_state(store: &dyn ObjectStore, key: &str) -> Result<ObjectState> {
     match store.get_raw(key) {
-        Ok(buf) if crc::verified_payload_len(&buf, "redundancy source").is_ok() => Some(buf),
-        _ => None,
+        Ok(buf) if crc::verified_payload_len(&buf, "stored object").is_ok() => {
+            Ok(ObjectState::Intact(buf))
+        }
+        Ok(_) => Ok(ObjectState::Corrupt),
+        Err(SlimError::ObjectNotFound(_)) => Ok(ObjectState::Missing),
+        Err(e) => Err(e),
     }
 }
 
 /// Best available bytes for a parity-group member: primary, then replica,
-/// then quarantined copy — whichever first passes its CRC check.
+/// then quarantined copy — whichever first passes its CRC check. Any
+/// failure (missing, transient, corrupt) disqualifies a source.
 fn member_bytes(store: &dyn ObjectStore, key: &str) -> Option<Bytes> {
-    intact_copy(store, key)
-        .or_else(|| intact_copy(store, &layout::replica_key(key)))
-        .or_else(|| intact_copy(store, &layout::quarantine_key(key)))
+    [
+        key.to_string(),
+        layout::replica_key(key),
+        layout::quarantine_key(key),
+    ]
+    .iter()
+    .find_map(|source| match object_state(store, source) {
+        Ok(ObjectState::Intact(buf)) => Some(buf),
+        _ => None,
+    })
 }
 
 /// Reconstruct the sealed bytes of `key` from the redundancy plane, without
@@ -125,10 +149,11 @@ pub fn reconstruct_object(
     store: &dyn ObjectStore,
     key: &str,
 ) -> Result<Option<(Bytes, RepairSource)>> {
-    if let Some(buf) = intact_copy(store, &layout::replica_key(key)) {
+    // A source that cannot be read (missing, transient, corrupt) is skipped.
+    if let Ok(ObjectState::Intact(buf)) = object_state(store, &layout::replica_key(key)) {
         return Ok(Some((buf, RepairSource::Replica)));
     }
-    if let Some(buf) = intact_copy(store, &layout::quarantine_key(key)) {
+    if let Ok(ObjectState::Intact(buf)) = object_state(store, &layout::quarantine_key(key)) {
         return Ok(Some((buf, RepairSource::Quarantine)));
     }
     // Parity: scan group manifests for one naming this key. Groups are few
@@ -143,7 +168,8 @@ pub fn reconstruct_object(
         let Some(target) = group.member(key) else {
             continue;
         };
-        let Some(parity) = intact_copy(store, &layout::parity_data(group.id)) else {
+        let Ok(ObjectState::Intact(parity)) = object_state(store, &layout::parity_data(group.id))
+        else {
             continue;
         };
         let Ok(parity_payload) = crc::unseal(&parity, "parity block") else {

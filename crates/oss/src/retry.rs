@@ -23,7 +23,7 @@ use slim_types::{Deadline, Result, SlimError};
 
 use crate::fault::{splitmix64, unit_f64};
 use crate::metrics::MetricsSnapshot;
-use crate::store::ObjectStore;
+use crate::store::{only, ObjectStore};
 
 /// Backoff/budget parameters of a [`RetryingStore`].
 #[derive(Debug, Clone)]
@@ -153,10 +153,6 @@ impl RetryMetrics {
     pub fn retry_bytes(&self) -> u64 {
         self.retry_bytes.get()
     }
-
-    pub fn backoff_time(&self) -> Duration {
-        Duration::from_nanos(self.backoff_nanos.get())
-    }
 }
 
 impl Default for RetryMetrics {
@@ -216,73 +212,6 @@ impl RetryingStore {
         &self.metrics
     }
 
-    /// Run `f` under the retry policy. `op` labels the operation in
-    /// [`SlimError::Timeout`] reports. `upload_bytes` is the request
-    /// payload size (non-zero only for PUT): every re-issued attempt
-    /// sends the body again, and that re-upload volume is charged to
-    /// `retry_bytes` rather than the inner store's byte counters.
-    fn run<T>(
-        &self,
-        op: &str,
-        key: &str,
-        upload_bytes: u64,
-        f: impl Fn() -> Result<T>,
-    ) -> Result<T> {
-        let start = Instant::now();
-        let ambient = Deadline::current();
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            // Ambient request deadline already spent: give up without
-            // issuing (another) attempt — the caller's budget is gone, so
-            // any further OSS traffic is pure waste.
-            if ambient.expired() {
-                self.metrics.giveups.inc();
-                return Err(SlimError::Timeout {
-                    op: format!("{op} {key}"),
-                    attempts: attempt,
-                    last: "request deadline expired".into(),
-                });
-            }
-            attempt += 1;
-            self.metrics.attempts.inc();
-            let err = match f() {
-                Ok(value) => return Ok(value),
-                Err(err) if err.is_retryable() => err,
-                Err(err) => return Err(err),
-            };
-            let give_up = |last: &SlimError| SlimError::Timeout {
-                op: format!("{op} {key}"),
-                attempts: attempt,
-                last: last.to_string(),
-            };
-            if attempt >= max_attempts {
-                self.metrics.giveups.inc();
-                return Err(give_up(&err));
-            }
-            let delay = self.policy.backoff(attempt);
-            if let Some(deadline) = self.policy.deadline {
-                if start.elapsed() + delay >= deadline {
-                    self.metrics.giveups.inc();
-                    return Err(give_up(&err));
-                }
-            }
-            // Sleeping past the ambient deadline cannot help either: the
-            // retry would start with the budget already gone.
-            if ambient.would_exceed(delay) {
-                self.metrics.giveups.inc();
-                return Err(give_up(&err));
-            }
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-                self.metrics.backoff_nanos.add(delay.as_nanos() as u64);
-                self.metrics.backoff_wait.record_duration(delay);
-            }
-            self.metrics.retries.inc();
-            self.metrics.retry_bytes.add(upload_bytes);
-        }
-    }
-
     /// Run a batched operation under the retry policy with a *per-item*
     /// budget: each round re-issues only the still-retryable items as one
     /// batch to the inner store, so the fan-out below stays saturated while
@@ -291,118 +220,129 @@ impl RetryingStore {
     /// exhausts `max_attempts` (or the shared deadline) reports
     /// [`SlimError::Timeout`] with its own attempt count and last cause.
     /// Backoff is slept once per round, not once per pending item.
+    ///
+    /// `op` labels the operation in the timeout reports. `reupload` is an
+    /// item's request payload size (non-zero only for PUT): every re-issued
+    /// attempt sends the body again, and that volume is charged to
+    /// `retry_bytes` rather than the inner store's byte counters.
     fn run_many<I: Clone, T>(
         &self,
         op: &str,
         items: &[I],
         key_of: impl Fn(&I) -> &str,
+        reupload: impl Fn(&I) -> u64,
         f: impl Fn(&[I]) -> Vec<Result<T>>,
     ) -> Vec<Result<T>> {
         let start = Instant::now();
         let ambient = Deadline::current();
         let max_attempts = self.policy.max_attempts.max(1);
-        let n = items.len();
-        let mut out: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..n).collect();
-        let mut last_err: Vec<Option<SlimError>> = (0..n).map(|_| None).collect();
-        let mut attempt = 0u32;
+        let timeout = |item: &I, attempts: u32, last: String| -> Result<T> {
+            self.metrics.giveups.inc();
+            Err(SlimError::Timeout {
+                op: format!("{op} {}", key_of(item)),
+                attempts,
+                last,
+            })
+        };
+        // Ambient request deadline already spent: the caller's budget is
+        // gone, so any OSS traffic is pure waste.
+        if ambient.expired() {
+            return items
+                .iter()
+                .map(|item| timeout(item, 0, "request deadline expired".into()))
+                .collect();
+        }
+        self.metrics.attempts.add(items.len() as u64);
+        let mut out = f(items);
+        debug_assert_eq!(out.len(), items.len());
+        let retryable = |result: &Result<T>| matches!(result, Err(err) if err.is_retryable());
+        // The common case ends here: nothing pending, `out` returned as is.
+        let mut pending: Vec<usize> = (0..out.len()).filter(|&i| retryable(&out[i])).collect();
+        let mut attempt = 1u32;
         while !pending.is_empty() {
-            // Ambient request deadline exhausted: resolve every still-
-            // pending item without issuing another batch.
-            if ambient.expired() {
-                for &i in &pending {
-                    self.metrics.giveups.inc();
-                    let last = last_err[i]
-                        .take()
-                        .map(|e| e.to_string())
-                        .unwrap_or_else(|| "request deadline expired".into());
-                    out[i] = Some(Err(SlimError::Timeout {
-                        op: format!("{op} {}", key_of(&items[i])),
-                        attempts: attempt,
-                        last,
-                    }));
-                }
-                break;
-            }
-            attempt += 1;
-            let batch: Vec<I> = pending.iter().map(|&i| items[i].clone()).collect();
-            self.metrics.attempts.add(batch.len() as u64);
-            let results = f(&batch);
-            debug_assert_eq!(results.len(), batch.len());
-            let mut still = Vec::new();
-            for (result, &i) in results.into_iter().zip(&pending) {
-                match result {
-                    Ok(value) => out[i] = Some(Ok(value)),
-                    Err(err) if err.is_retryable() => {
-                        last_err[i] = Some(err);
-                        still.push(i);
-                    }
-                    Err(err) => out[i] = Some(Err(err)),
-                }
-            }
-            pending = still;
-            if pending.is_empty() {
-                break;
-            }
+            // Sleeping past the policy's or the ambient deadline cannot
+            // help: the retry would start with the budget already gone.
             let delay = self.policy.backoff(attempt);
-            let out_of_budget = attempt >= max_attempts
+            let mut spent = attempt >= max_attempts
                 || self
                     .policy
                     .deadline
                     .is_some_and(|deadline| start.elapsed() + delay >= deadline)
                 || ambient.would_exceed(delay);
-            if out_of_budget {
-                for &i in &pending {
-                    self.metrics.giveups.inc();
-                    let last = last_err[i].take().expect("pending item has a last error");
-                    out[i] = Some(Err(SlimError::Timeout {
-                        op: format!("{op} {}", key_of(&items[i])),
-                        attempts: attempt,
-                        last: last.to_string(),
-                    }));
-                }
-                break;
-            }
-            if !delay.is_zero() {
+            if !spent && !delay.is_zero() {
                 std::thread::sleep(delay);
                 self.metrics.backoff_nanos.add(delay.as_nanos() as u64);
                 self.metrics.backoff_wait.record_duration(delay);
+                spent = ambient.expired();
+            }
+            if spent {
+                for &i in &pending {
+                    let last = out[i].as_ref().err().expect("pending item holds an error");
+                    out[i] = timeout(&items[i], attempt, last.to_string());
+                }
+                break;
             }
             self.metrics.retries.add(pending.len() as u64);
+            self.metrics
+                .retry_bytes
+                .add(pending.iter().map(|&i| reupload(&items[i])).sum());
+            attempt += 1;
+            self.metrics.attempts.add(pending.len() as u64);
+            let batch: Vec<I> = pending.iter().map(|&i| items[i].clone()).collect();
+            let results = f(&batch);
+            debug_assert_eq!(results.len(), batch.len());
+            for (result, &i) in results.into_iter().zip(&pending) {
+                out[i] = result;
+            }
+            pending.retain(|&i| retryable(&out[i]));
         }
-        out.into_iter()
-            .map(|slot| slot.expect("every item resolved"))
-            .collect()
+        out
+    }
+
+    /// A single bodiless operation on `key` is a batch of one.
+    fn run_one<T>(&self, op: &str, key: &str, f: impl Fn(&str) -> Result<T>) -> Result<T> {
+        only(self.run_many(op, &[key], |key| key, |_| 0, |batch| vec![f(batch[0])]))
     }
 }
 
 impl ObjectStore for RetryingStore {
     fn put(&self, key: &str, value: Bytes) -> Result<()> {
         // Bytes clones are refcount bumps, so retrying a PUT is free.
-        let upload = value.len() as u64;
-        self.run("put", key, upload, || self.inner.put(key, value.clone()))
+        only(self.run_many(
+            "put",
+            &[(key, value)],
+            |(key, _)| key,
+            |(_, value)| value.len() as u64,
+            |batch| vec![self.inner.put(batch[0].0, batch[0].1.clone())],
+        ))
     }
 
     fn get(&self, key: &str) -> Result<Bytes> {
-        self.run("get", key, 0, || self.inner.get(key))
+        self.run_one("get", key, |key| self.inner.get(key))
+    }
+
+    fn get_raw(&self, key: &str) -> Result<Bytes> {
+        // Detection reads must see the primary as stored: forward to the
+        // inner `get_raw`, never to a healing `get`.
+        self.run_one("get", key, |key| self.inner.get_raw(key))
     }
 
     fn get_range(&self, key: &str, start: u64, len: u64) -> Result<Bytes> {
-        self.run("get_range", key, 0, || {
+        self.run_one("get_range", key, |key| {
             self.inner.get_range(key, start, len)
         })
     }
 
     fn delete(&self, key: &str) -> Result<()> {
-        self.run("delete", key, 0, || self.inner.delete(key))
+        self.run_one("delete", key, |key| self.inner.delete(key))
     }
 
     fn exists(&self, key: &str) -> Result<bool> {
-        self.run("head", key, 0, || self.inner.exists(key))
+        self.run_one("head", key, |key| self.inner.exists(key))
     }
 
     fn len(&self, key: &str) -> Result<Option<u64>> {
-        self.run("head", key, 0, || self.inner.len(key))
+        self.run_one("head", key, |key| self.inner.len(key))
     }
 
     fn get_many(&self, keys: &[String]) -> Vec<Result<Bytes>> {
@@ -410,6 +350,7 @@ impl ObjectStore for RetryingStore {
             "get",
             keys,
             |k| k.as_str(),
+            |_| 0,
             |batch| self.inner.get_many(batch),
         )
     }
@@ -419,6 +360,7 @@ impl ObjectStore for RetryingStore {
             "get_range",
             ranges,
             |(key, _, _)| key.as_str(),
+            |_| 0,
             |batch| self.inner.get_range_many(batch),
         )
     }
@@ -428,6 +370,7 @@ impl ObjectStore for RetryingStore {
             "head",
             keys,
             |k| k.as_str(),
+            |_| 0,
             |batch| self.inner.len_many(batch),
         )
     }
@@ -437,6 +380,7 @@ impl ObjectStore for RetryingStore {
             "delete",
             keys,
             |k| k.as_str(),
+            |_| 0,
             |batch| self.inner.delete_many(batch),
         )
     }
@@ -519,6 +463,76 @@ mod tests {
         assert!(err.is_retryable(), "outer layers may still retry");
         assert_eq!(store.retry_metrics().giveups(), 1);
         assert_eq!(store.retry_metrics().retries(), 2);
+    }
+
+    #[test]
+    fn single_op_is_the_one_item_batch() {
+        // Twin stores under the same seeded plan: `get(k)` on one and
+        // `get_many(&[k])` on the other walk the same loop, so they end with
+        // the same outcomes, the same timeout text and the same counters.
+        let twin = || {
+            let oss = Oss::in_memory();
+            for i in 0..32 {
+                oss.put(&format!("k/{i}"), Bytes::from_static(b"v"))
+                    .unwrap();
+            }
+            oss.inject_fault(FaultPlan::TransientProb {
+                prefix: String::new(),
+                prob: 0.6,
+                seed: 0xBA7C4,
+            });
+            retrying(&oss, 3)
+        };
+        let (single, batched) = (twin(), twin());
+        for i in 0..32 {
+            let key = format!("k/{i}");
+            let one = single.get(&key);
+            let many = batched.get_many(std::slice::from_ref(&key)).pop().unwrap();
+            assert_eq!(format!("{one:?}"), format!("{many:?}"), "{key}");
+        }
+        let (a, b) = (single.retry_metrics(), batched.retry_metrics());
+        assert!(a.retries() > 0 && a.giveups() > 0, "plan exercises both");
+        assert_eq!(
+            (a.attempts(), a.retries(), a.giveups()),
+            (b.attempts(), b.retries(), b.giveups())
+        );
+    }
+
+    #[test]
+    fn get_raw_retries_without_healing() {
+        // Oss -> RedundantStore -> RetryingStore, as the builder stacks them:
+        // a detection read must see the primary's damaged bytes, not a
+        // read-repaired copy.
+        use crate::redundant::RedundantStore;
+        use slim_types::{crc, layout, ContainerId};
+        let oss = Oss::in_memory();
+        let redundant = Arc::new(RedundantStore::new(Arc::new(oss.clone())));
+        let store = RetryingStore::new(redundant.clone(), RetryPolicy::no_delay(4));
+        let key = layout::container_data(ContainerId(1));
+        let good = crc::seal(&[0xAB; 100]);
+        oss.put(&layout::replica_key(&key), good.clone()).unwrap();
+        let mut bad = good.to_vec();
+        bad[10] ^= 0xFF;
+        let bad = Bytes::from(bad);
+        oss.put(&key, bad.clone()).unwrap();
+
+        // One transient fault on the way: the raw read is retried, not healed.
+        oss.inject_fault(FaultPlan::Throttle { every_nth: 5 });
+        for _ in 0..4 {
+            oss.get("warmup").unwrap_err(); // the raw read is op 5
+        }
+        assert_eq!(
+            store.get_raw(&key).unwrap(),
+            bad,
+            "damage reported as stored"
+        );
+        oss.clear_faults();
+        assert_eq!(store.retry_metrics().retries(), 1);
+        assert_eq!(redundant.metrics().repairs_written.get(), 0);
+        assert_eq!(oss.get(&key).unwrap(), bad, "primary untouched");
+
+        assert_eq!(store.get(&key).unwrap(), good, "a plain get heals");
+        assert_eq!(redundant.metrics().repairs_written.get(), 1);
     }
 
     #[test]

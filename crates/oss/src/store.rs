@@ -36,6 +36,13 @@ use crate::network::{ChannelPool, NetworkModel};
 /// `usize::MAX` channels and would spawn one thread per batch item.
 const MAX_BATCH_WORKERS: usize = 64;
 
+/// The result of a one-item batch: the policy wrappers implement every
+/// single operation as the one-item case of its batch form.
+pub(crate) fn only<T>(mut results: Vec<Result<T>>) -> Result<T> {
+    debug_assert_eq!(results.len(), 1);
+    results.pop().expect("one result per item")
+}
+
 /// Object-store interface used by every SLIMSTORE component.
 ///
 /// Trait rather than concrete type so tests can interpose wrappers and so a

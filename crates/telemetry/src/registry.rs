@@ -33,11 +33,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// Two handles are *the same registry* iff they share storage.
-    pub fn same_registry(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
-    }
-
     /// Get or create the counter registered under `name`.
     ///
     /// If `name` is already registered as a different metric kind, a

@@ -70,17 +70,6 @@ impl BloomFilter {
         }
     }
 
-    /// Build with an explicit bit count and hash count.
-    pub fn with_params(n_bits: usize, k: u32) -> Self {
-        let n_bits = n_bits.max(64);
-        BloomFilter {
-            bits: vec![0u64; n_bits.div_ceil(64)],
-            n_bits,
-            k: k.clamp(1, 16),
-            inserted: 0,
-        }
-    }
-
     /// Insert a key.
     pub fn insert(&mut self, key: u64) {
         for pos in probes(key, self.k, self.n_bits) {
@@ -98,11 +87,6 @@ impl BloomFilter {
     /// Number of insert calls.
     pub fn inserted(&self) -> u64 {
         self.inserted
-    }
-
-    /// Size of the bit array in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.bits.len() * 8
     }
 
     /// Serialize to bytes (used by SSTable footers).
@@ -224,11 +208,6 @@ impl CountingBloomFilter {
             .map(|pos| self.get_slot(pos))
             .min()
             .unwrap_or(0)
-    }
-
-    /// Size in bytes of the counter array.
-    pub fn byte_size(&self) -> usize {
-        self.nibbles.len()
     }
 }
 

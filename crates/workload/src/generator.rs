@@ -102,13 +102,6 @@ impl WorkloadConfig {
             seed: 42,
         }
     }
-
-    /// Override the dup-ratio range to a single value.
-    pub fn with_dup_ratio(mut self, ratio: f64) -> Self {
-        self.dup_ratio_min = ratio;
-        self.dup_ratio_max = ratio;
-        self
-    }
 }
 
 /// One logical block of a file.

@@ -150,7 +150,9 @@ fn acceptance_full_cycle_telemetry() {
         .build()
         .unwrap();
     let file = FileId::new("acceptance");
-    let input: Vec<u8> = (0..40_000u32).map(|i| (i * 2_654_435_761) as u8).collect();
+    let input: Vec<u8> = (0..40_000u32)
+        .map(|i| i.wrapping_mul(2_654_435_761) as u8)
+        .collect();
 
     let before = store.telemetry_snapshot();
     let report = store
