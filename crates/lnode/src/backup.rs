@@ -37,7 +37,7 @@ use slim_types::{
     RecipeIndex, Result, SegmentRecipe, SlimConfig, SlimError, SuperChunkInfo, VersionId,
 };
 
-use crate::pipeline::{ChunkFeed, PipelineShared, UploadSink};
+use crate::pipeline::{commit_container, ChunkFeed, PipelineShared, UploadSink};
 use crate::stats::BackupStats;
 use crate::storage::StorageLayer;
 
@@ -336,10 +336,11 @@ impl Job<'_, '_> {
 
     /// Run the same dedup loop with the parallel stages of
     /// [`crate::pipeline`] around it: a chunking feeder, `threads - 2`
-    /// fingerprint workers, and an async container uploader, all scoped to
-    /// this call. The loop itself — and therefore every byte of output — is
-    /// identical to [`Job::run`]; the stages only precompute the plain-CDC
-    /// stream it consumes and overlap the uploads it orders.
+    /// fingerprint workers, and an async container sealer/uploader, all
+    /// scoped to this call. The loop itself — and therefore every byte of
+    /// output — is identical to [`Job::run`]; the stages only precompute
+    /// the plain-CDC stream it consumes and take over the containers it
+    /// fills.
     fn run_pipelined(&mut self, threads: usize) -> Result<()> {
         debug_assert!(threads >= 2);
         let shared = Arc::new(PipelineShared::default());
@@ -355,7 +356,10 @@ impl Job<'_, '_> {
                 fp_workers,
                 shared.clone(),
             ));
-            let (sink, uploader) = UploadSink::spawn(s, storage, shared.clone());
+            // Sealing borrows the fingerprint workers' share of the thread
+            // budget: they idle whenever the dedup stage waits on a full
+            // upload queue.
+            let (sink, uploader) = UploadSink::spawn(s, storage, fp_workers.max(1), shared.clone());
             self.sink = Some(sink);
             // The feed and sink must be detached from `self` before the
             // scope ends even if the loop panics (a debug assertion, say):
@@ -674,7 +678,6 @@ impl Job<'_, '_> {
         {
             self.seal_container()?;
         }
-        let compress = self.config().compression;
         let builder = match &mut self.builder {
             Some(b) => b,
             None => {
@@ -682,37 +685,32 @@ impl Job<'_, '_> {
                 self.new_containers.push(id);
                 self.builder.insert(
                     ContainerBuilder::new(id, self.config().container_capacity)
-                        .with_compression(compress),
+                        .with_compression(self.config().compression),
                 )
             }
         };
-        if compress {
-            let t = Instant::now();
-            builder.push(fp, payload);
-            self.stats.compress_time += t.elapsed();
-        } else {
-            builder.push(fp, payload);
-        }
+        builder.push(fp, payload);
         Ok(builder.id())
     }
 
+    /// Let go of the open container. Compression, the CRC seal and the PUT
+    /// are [`commit_container`] in both engines; only the thread differs.
     fn seal_container(&mut self) -> Result<()> {
         if let Some(builder) = self.builder.take() {
             if builder.is_empty() {
                 return Ok(());
             }
-            self.stats.add_compression(&builder.compression_stats());
-            let (data, meta) = builder.seal();
             match &self.sink {
-                // Pipelined: hand off to the async uploader. Containers are
-                // sealed — and ids allocated — in stream order, so the
-                // queue's FIFO order is container-id order; the uploader's
-                // time is folded into network_time when the stages join.
-                Some(sink) => sink.push(data, meta)?,
+                // Pipelined: hand off to stage (4). Containers fill — and
+                // ids are allocated — in stream order, so the queue's FIFO
+                // order is container-id order; the stage's accounting is
+                // folded into the stats when the stages join.
+                Some(sink) => sink.push(builder)?,
                 None => {
-                    let t = Instant::now();
-                    self.pipeline.storage.put_container(data, &meta)?;
-                    self.stats.network_time += t.elapsed();
+                    let (compression, put_time) =
+                        commit_container(self.pipeline.storage, builder, 1)?;
+                    self.stats.add_compression(&compression);
+                    self.stats.network_time += put_time;
                 }
             }
         }
@@ -997,6 +995,75 @@ mod tests {
             }
         }
         assert!(super_seen > 0, "Algorithm 1 never matched a superchunk");
+    }
+
+    /// Compressible input: seeded sentences over a small vocabulary.
+    fn text(seed: u64, len: usize) -> Vec<u8> {
+        use rand::{Rng, SeedableRng};
+        const WORDS: [&str; 8] = [
+            "container",
+            "chunk",
+            "recipe",
+            "segment",
+            "version",
+            "index",
+            "dedup",
+            "object",
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(len + 16);
+        while out.len() < len {
+            out.extend_from_slice(WORDS[rng.gen_range(0..WORDS.len())].as_bytes());
+            out.push(b' ');
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn merged_superchunks_are_compressed_once_at_seal() {
+        // A merged superchunk's payload enters the open container like any
+        // unique chunk and is compressed there, once, when it seals — on the
+        // dedup thread (0) or in stage 4 (4).
+        for threads in [0usize, 4] {
+            let (_oss, storage, similar, mut cfg) = setup();
+            cfg.merge_threshold = 2;
+            cfg.compression = true;
+            cfg.backup_pipeline_threads = threads;
+            let file = FileId::new("f");
+            let input = text(6, 60_000);
+            let mut merged = 0;
+            for v in 0..5u64 {
+                let out = backup(&storage, &similar, &cfg, &file, v, &input);
+                let s = &out.stats;
+                assert_eq!(
+                    s.compress_raw_bytes, s.stored_bytes,
+                    "threads {threads} v{v}: every stored payload is offered exactly once"
+                );
+                assert_eq!(
+                    s.compress_chunks,
+                    s.chunks - s.duplicates + s.superchunks_created,
+                    "threads {threads} v{v}"
+                );
+                assert_eq!(
+                    s.compress_time > std::time::Duration::ZERO,
+                    s.stored_bytes > 0
+                );
+                merged += s.superchunks_created;
+                let recipe = storage.get_recipe(&file, VersionId(v)).unwrap();
+                for rec in recipe.records().filter(|r| r.is_super()) {
+                    let meta = storage.get_container_meta(rec.container_id).unwrap();
+                    let entry = meta.find(&rec.fp).expect("superchunk in its container");
+                    assert_eq!(entry.raw_len, rec.size);
+                    assert!(entry.is_compressed(), "threads {threads} v{v}: stored raw");
+                }
+                assert_eq!(reassemble(&storage, &file, v), input, "version {v}");
+            }
+            assert!(
+                merged > 0,
+                "threads {threads}: merge_threshold never reached"
+            );
+        }
     }
 
     #[test]

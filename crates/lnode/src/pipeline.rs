@@ -8,9 +8,9 @@
 //!  (1) feeder ──(seq,start,end)──▶ (2) fp workers ──(seq,ChunkRef)──▶ (3)
 //!      rolling-hash CDC scan           SHA-1 pool        in-order dedup
 //!                                                        (caller thread)
-//!                                                              │ sealed
+//!                                                              │ full, unsealed
 //!                                                              ▼ containers
-//!                                                  (4) uploader ──▶ OSS
+//!                                      (4) sealer: compress ─▶ CRC ─▶ PUT ──▶ OSS
 //! ```
 //!
 //! Stage (3) is the *unchanged* dedup loop: cache lookups, similar-index
@@ -24,17 +24,24 @@
 //! Output is therefore byte-identical to the sequential path; only
 //! wall-clock and `pipeline_*` telemetry differ.
 //!
+//! Stage (3) only copies a unique chunk's raw bytes into the open container;
+//! everything a container costs after that — per-chunk compression, the CRC
+//! seal, the PUT — is [`commit_container`], which stage (4) runs off the
+//! dedup thread (and the sequential engine runs inline). A container's
+//! chunks compress independently, so stage (4) spreads them over as many
+//! scoped threads as the job has fingerprint workers.
+//!
 //! **Ordering/commit invariants.** Container ids are allocated by stage (3)
-//! in stream order and sealed containers enter the upload queue in that same
-//! order; the single uploader PUTs them sequentially, so containers commit
-//! in container-id order. [`UploadSink::finish`] joins the uploader *before*
-//! the recipe/index PUTs, preserving the crash-commit protocol (containers →
-//! recipe → recipe index → version manifest).
+//! in stream order and full containers enter the upload queue in that same
+//! order; the single uploader seals and PUTs them one after another, so
+//! containers commit in container-id order. [`UploadSink::finish`] joins
+//! the uploader *before* the recipe/index PUTs, preserving the crash-commit
+//! protocol (containers → recipe → recipe index → version manifest).
 //!
 //! **Memory bounds.** The feed queues carry `(seq, ChunkRef)` tuples (~40
 //! bytes), bounded at [`FEED_QUEUE`] each; the out-of-order buffer holds at
 //! most the in-flight window. The upload queue holds at most
-//! [`UPLOAD_QUEUE`] sealed containers (double buffering), so a pipelined job
+//! [`UPLOAD_QUEUE`] full containers (double buffering), so a pipelined job
 //! uses at most ~`(UPLOAD_QUEUE + 1) * container_capacity` bytes more than a
 //! sequential one. A stalled tenant therefore still fits the admission
 //! byte-budget reasoning of the frontend (see
@@ -46,11 +53,10 @@ use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use slim_chunking::{boundaries, fingerprint, ChunkRef, Chunker};
-use slim_types::{ContainerMeta, Result, SlimError};
+use slim_types::{CompressionStats, ContainerBuilder, Result, SlimError};
 
 use crate::stats::BackupStats;
 use crate::storage::StorageLayer;
@@ -60,10 +66,26 @@ use crate::storage::StorageLayer;
 /// the feeder can never run unboundedly ahead of the dedup stage.
 const FEED_QUEUE: usize = 512;
 
-/// Sealed containers allowed to queue behind the uploader (double
-/// buffering): the dedup stage fills container N+2 while N uploads and N+1
+/// Full containers allowed to queue behind the uploader (double buffering):
+/// the dedup stage fills container N+2 while N seals and uploads and N+1
 /// waits.
 const UPLOAD_QUEUE: usize = 2;
+
+/// Everything a full container costs after the dedup loop let go of it:
+/// per-chunk compression on up to `fanout` threads, the CRC seal, the PUTs.
+/// Returns the compression accounting and the time spent in OSS calls. The
+/// one commit path of both engines — stage (4) here, inline in the
+/// sequential one.
+pub(crate) fn commit_container(
+    storage: &StorageLayer,
+    builder: ContainerBuilder,
+    fanout: usize,
+) -> Result<(CompressionStats, Duration)> {
+    let (data, meta, compression) = builder.seal_with(fanout);
+    let t = Instant::now();
+    storage.put_container(data, &meta)?;
+    Ok((compression, t.elapsed()))
+}
 
 /// Counters and phase-time accumulators shared across pipeline threads,
 /// folded into the job's [`BackupStats`] once the stages have joined.
@@ -76,6 +98,8 @@ pub(crate) struct PipelineShared {
     fed: AtomicU64,
     fallbacks: AtomicU64,
     uploads: AtomicU64,
+    /// Accounting of the containers stage (4) sealed.
+    compression: Mutex<CompressionStats>,
 }
 
 impl PipelineShared {
@@ -89,9 +113,14 @@ impl PipelineShared {
     /// just done elsewhere — while the `pipeline_*` fields are new.
     pub(crate) fn fold_into(&self, stats: &mut BackupStats) {
         let ns = |cell: &AtomicU64| Duration::from_nanos(cell.load(Ordering::Relaxed));
+        let compression = *self.compression.lock();
         stats.chunking_time += ns(&self.chunk_nanos);
         stats.fingerprint_time += ns(&self.fp_nanos);
         stats.network_time += ns(&self.upload_nanos);
+        stats.add_compression(&compression);
+        // None of the above ran on the dedup thread.
+        stats.worker_time +=
+            ns(&self.chunk_nanos) + ns(&self.fp_nanos) + ns(&self.upload_nanos) + compression.time;
         stats.pipeline_stall_time += ns(&self.stall_nanos);
         stats.pipeline_chunks_fed += self.fed.load(Ordering::Relaxed);
         stats.pipeline_fallbacks += self.fallbacks.load(Ordering::Relaxed);
@@ -254,10 +283,11 @@ impl ChunkFeed {
     }
 }
 
-/// Stage (4): sealed containers travel a bounded queue to one uploader
-/// thread, which PUTs them strictly in arrival (= container-id) order.
+/// Stage (4): full containers travel a bounded queue to one uploader
+/// thread, which seals and PUTs them strictly in arrival (= container-id)
+/// order.
 pub(crate) struct UploadSink {
-    tx: Option<Sender<(Bytes, ContainerMeta)>>,
+    tx: Option<Sender<ContainerBuilder>>,
     state: Arc<SinkState>,
 }
 
@@ -268,14 +298,16 @@ struct SinkState {
 
 impl UploadSink {
     /// Spawn the uploader inside `scope` over its own handle to the storage
-    /// layer. Returns the sink plus the uploader's join handle (consumed by
-    /// [`UploadSink::finish`]).
+    /// layer; each container's compression fans out over `seal_fanout`
+    /// threads. Returns the sink plus the uploader's join handle (consumed
+    /// by [`UploadSink::finish`]).
     pub(crate) fn spawn<'scope>(
         scope: &'scope Scope<'scope, '_>,
         storage: StorageLayer,
+        seal_fanout: usize,
         shared: Arc<PipelineShared>,
     ) -> (UploadSink, ScopedJoinHandle<'scope, ()>) {
-        let (tx, rx) = bounded::<(Bytes, ContainerMeta)>(UPLOAD_QUEUE);
+        let (tx, rx) = bounded::<ContainerBuilder>(UPLOAD_QUEUE);
         let state = Arc::new(SinkState {
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -287,17 +319,17 @@ impl UploadSink {
         let deadline = slim_types::Deadline::current();
         let handle = scope.spawn(move || {
             let _deadline = deadline.install();
-            while let Ok((data, meta)) = rx.recv() {
+            while let Ok(builder) = rx.recv() {
                 if state_w.failed.load(Ordering::Acquire) {
                     // A container already failed to commit: later containers
                     // must not commit either (the job is doomed and every
                     // skipped PUT is one orphan fewer to scrub).
                     continue;
                 }
-                let t = Instant::now();
-                match storage.put_container(data, &meta) {
-                    Ok(()) => {
-                        PipelineShared::add(&shared.upload_nanos, t.elapsed());
+                match commit_container(&storage, builder, seal_fanout) {
+                    Ok((compression, put_time)) => {
+                        shared.compression.lock().merge(&compression);
+                        PipelineShared::add(&shared.upload_nanos, put_time);
                         shared.uploads.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(e) => {
@@ -316,9 +348,10 @@ impl UploadSink {
         )
     }
 
-    /// Queue a sealed container for upload. Surfaces the uploader's first
-    /// error (once), aborting the job before it can seal more work.
-    pub(crate) fn push(&self, data: Bytes, meta: ContainerMeta) -> Result<()> {
+    /// Queue a full container for sealing and upload. Surfaces the
+    /// uploader's first error (once), aborting the job before it can fill
+    /// more containers.
+    pub(crate) fn push(&self, builder: ContainerBuilder) -> Result<()> {
         if self.state.failed.load(Ordering::Acquire) {
             if let Some(e) = self.state.error.lock().take() {
                 return Err(e);
@@ -329,7 +362,7 @@ impl UploadSink {
             ));
         }
         let tx = self.tx.as_ref().expect("push after finish");
-        if tx.send((data, meta)).is_err() {
+        if tx.send(builder).is_err() {
             if let Some(e) = self.state.error.lock().take() {
                 return Err(e);
             }
@@ -357,7 +390,7 @@ mod tests {
     use super::*;
     use slim_chunking::{chunk_all, ChunkSpec, FastCdcChunker};
     use slim_oss::{FaultPlan, Oss};
-    use slim_types::{ContainerBuilder, ContainerId, Fingerprint};
+    use slim_types::Fingerprint;
 
     fn chunker() -> FastCdcChunker {
         FastCdcChunker::new(ChunkSpec::new(64, 256, 1024))
@@ -430,12 +463,10 @@ mod tests {
         });
     }
 
-    fn sealed(storage: &StorageLayer, b: u8) -> (ContainerId, Bytes, ContainerMeta) {
-        let id = storage.allocate_container_id();
-        let mut builder = ContainerBuilder::new(id, 4096);
+    fn full(storage: &StorageLayer, b: u8) -> ContainerBuilder {
+        let mut builder = ContainerBuilder::new(storage.allocate_container_id(), 4096);
         builder.push(Fingerprint::from_slice(&[b; 20]).unwrap(), &[b; 128]);
-        let (data, meta) = builder.seal();
-        (id, data, meta)
+        builder
     }
 
     #[test]
@@ -444,12 +475,12 @@ mod tests {
         let storage = StorageLayer::open(oss.clone());
         let shared = Arc::new(PipelineShared::default());
         let ids = std::thread::scope(|s| {
-            let (sink, handle) = UploadSink::spawn(s, storage.clone(), shared.clone());
+            let (sink, handle) = UploadSink::spawn(s, storage.clone(), 2, shared.clone());
             let mut ids = Vec::new();
             for b in 0..10u8 {
-                let (id, data, meta) = sealed(&storage, b);
-                sink.push(data, meta).unwrap_or_else(|e| panic!("{e}"));
-                ids.push(id);
+                let builder = full(&storage, b);
+                ids.push(builder.id());
+                sink.push(builder).unwrap_or_else(|e| panic!("{e}"));
             }
             sink.finish(handle).unwrap();
             ids
@@ -471,10 +502,9 @@ mod tests {
         });
         let shared = Arc::new(PipelineShared::default());
         let err = std::thread::scope(|s| {
-            let (sink, handle) = UploadSink::spawn(s, storage.clone(), shared.clone());
+            let (sink, handle) = UploadSink::spawn(s, storage.clone(), 1, shared.clone());
             for b in 0..8u8 {
-                let (_, data, meta) = sealed(&storage, b);
-                if let Err(e) = sink.push(data, meta) {
+                if let Err(e) = sink.push(full(&storage, b)) {
                     drop(sink.finish(handle));
                     return e;
                 }

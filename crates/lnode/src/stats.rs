@@ -83,6 +83,11 @@ pub struct BackupStats {
     /// CPU time spent compressing unique chunk payloads (zero when the
     /// compression knob is off).
     pub compress_time: Duration,
+    /// The share of the chunking, fingerprint, network and compress times
+    /// above that pipeline worker threads spent, not the dedup thread (zero
+    /// on the sequential path). Those sums can exceed the job's wall time;
+    /// [`BackupStats::other_time`] needs the dedup thread's own clock.
+    pub worker_time: Duration,
 }
 
 impl BackupStats {
@@ -105,22 +110,27 @@ impl BackupStats {
         self.logical_bytes as f64 / (1024.0 * 1024.0) / secs
     }
 
-    /// CPU time not attributed to a named phase.
+    /// Dedup-loop time not attributed to a named phase: the job's wall time
+    /// minus what the dedup thread itself spent chunking, fingerprinting,
+    /// querying indexes, in OSS calls, compressing, and stalled on the feed.
     pub fn other_time(&self) -> Duration {
+        let phases = self.chunking_time
+            + self.fingerprint_time
+            + self.index_time
+            + self.network_time
+            + self.compress_time;
         self.wall_time
-            .saturating_sub(self.chunking_time)
-            .saturating_sub(self.fingerprint_time)
-            .saturating_sub(self.index_time)
-            .saturating_sub(self.network_time)
-            .saturating_sub(self.compress_time)
+            .saturating_sub(phases.saturating_sub(self.worker_time))
+            .saturating_sub(self.pipeline_stall_time)
     }
 
-    /// Fold a sealed builder's compression accounting into this job.
+    /// Fold a sealed container's compression accounting into this job.
     pub fn add_compression(&mut self, c: &slim_types::CompressionStats) {
         self.compress_chunks += c.chunks;
         self.compress_raw_bytes += c.raw_bytes;
         self.compress_stored_bytes += c.stored_bytes;
         self.compress_incompressible += c.incompressible;
+        self.compress_time += c.time;
     }
 
     /// Fold this job into a telemetry scope: one observation per phase
@@ -200,6 +210,7 @@ impl BackupStats {
         self.network_time += other.network_time;
         self.pipeline_stall_time += other.pipeline_stall_time;
         self.compress_time += other.compress_time;
+        self.worker_time += other.worker_time;
     }
 }
 
@@ -297,6 +308,26 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(stats.other_time(), Duration::ZERO);
+    }
+
+    #[test]
+    fn other_time_is_the_dedup_threads_own_remainder() {
+        // A pipelined job: 1 s of wall, during which worker threads summed
+        // 2.4 s of hashing/uploading/compressing and the dedup thread itself
+        // spent 0.2 s in the index, 0.1 s hashing inline and 0.3 s stalled.
+        let ms = Duration::from_millis;
+        let stats = BackupStats {
+            wall_time: ms(1000),
+            chunking_time: ms(500),
+            fingerprint_time: ms(1200 + 100),
+            network_time: ms(300),
+            compress_time: ms(400),
+            index_time: ms(200),
+            pipeline_stall_time: ms(300),
+            worker_time: ms(500 + 1200 + 300 + 400),
+            ..Default::default()
+        };
+        assert_eq!(stats.other_time(), ms(1000 - 200 - 100 - 300));
     }
 
     #[test]

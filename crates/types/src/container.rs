@@ -2,8 +2,9 @@
 //!
 //! Non-duplicate chunks are aggregated into fixed-capacity containers
 //! (§III-B). A container's *data object* is the concatenation of per-chunk
-//! *stored* payloads — each chunk independently LZ-compressed at build time
-//! when profitable (see [`crate::compress`]), stored raw otherwise; its
+//! *stored* payloads — each chunk independently LZ-compressed when the
+//! container is sealed, if profitable (see [`crate::compress`]), stored raw
+//! otherwise; its
 //! *metadata* records each chunk's fingerprint, stored offset and length,
 //! raw (uncompressed) length, and deletion state, plus the stale-chunk
 //! proportion used by sparse container compaction (§V-B) and reverse
@@ -24,6 +25,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -307,47 +310,56 @@ impl ContainerMeta {
     }
 }
 
-/// Per-builder compression accounting, folded into telemetry
-/// (`compress.*`) by the backup and rewrite paths that seal containers.
+/// Per-container compression accounting, produced by
+/// [`ContainerBuilder::seal_with`] and folded into telemetry (`compress.*`)
+/// by the backup path. All zero when the builder's compression is off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompressionStats {
-    /// Chunks pushed through a compressing builder.
+    /// Chunks offered to the compressor.
     pub chunks: u64,
-    /// Raw payload bytes pushed.
+    /// Raw payload bytes offered.
     pub raw_bytes: u64,
     /// Bytes actually stored (compressed where profitable).
     pub stored_bytes: u64,
     /// Chunks stored raw because compression was not strictly smaller.
     pub incompressible: u64,
+    /// CPU time spent in the compressor, summed over the seal's threads.
+    pub time: Duration,
 }
 
 impl CompressionStats {
-    /// Accumulate another builder's stats.
+    /// Accumulate another container's stats.
     pub fn merge(&mut self, other: &CompressionStats) {
         self.chunks += other.chunks;
         self.raw_bytes += other.raw_bytes;
         self.stored_bytes += other.stored_bytes;
         self.incompressible += other.incompressible;
+        self.time += other.time;
     }
 }
+
+/// Raw bytes a seal thread must have to itself before the seal fans out:
+/// below this a thread's start-up costs more than the compression it takes
+/// over.
+const MIN_FAN_BYTES: usize = 256 * 1024;
 
 /// An in-memory container being filled by a backup job (§IV-A Step 3).
 ///
 /// When [`ContainerBuilder::is_full`] reports true the caller seals it,
 /// persists the data object and metadata to OSS, and starts a new one.
-/// Capacity is tracked in **raw** bytes regardless of compression, so the
-/// container boundaries a stream produces are identical with compression on
-/// or off.
+/// The builder buffers **raw** payloads and tracks capacity in raw bytes;
+/// compression happens once, in [`ContainerBuilder::seal_with`], so pushing
+/// costs one copy and the container boundaries a stream produces are
+/// identical with compression on or off.
 pub struct ContainerBuilder {
     id: ContainerId,
     capacity: usize,
+    /// Raw payloads, back to back.
     data: Vec<u8>,
+    /// One entry per payload; `offset`/`len` describe `data` (raw) until
+    /// the seal rewrites them to the stored layout.
     entries: Vec<ContainerEntry>,
-    /// Raw payload bytes pushed so far (== `data.len()` when not
-    /// compressing).
-    raw_total: usize,
     compress: bool,
-    stats: CompressionStats,
 }
 
 impl ContainerBuilder {
@@ -359,9 +371,7 @@ impl ContainerBuilder {
             capacity,
             data: Vec::with_capacity(capacity),
             entries: Vec::new(),
-            raw_total: 0,
             compress: false,
-            stats: CompressionStats::default(),
         }
     }
 
@@ -379,11 +389,6 @@ impl ContainerBuilder {
 
     /// Raw payload bytes currently buffered (the capacity-accounting size).
     pub fn len(&self) -> usize {
-        self.raw_total
-    }
-
-    /// Stored bytes currently buffered (what `seal` will persist).
-    pub fn stored_len(&self) -> usize {
         self.data.len()
     }
 
@@ -394,59 +399,122 @@ impl ContainerBuilder {
 
     /// Whether adding `next_len` more *raw* bytes would exceed capacity.
     pub fn would_overflow(&self, next_len: usize) -> bool {
-        !self.entries.is_empty() && self.raw_total + next_len > self.capacity
+        !self.entries.is_empty() && self.data.len() + next_len > self.capacity
     }
 
     /// Whether the container has reached capacity (in raw bytes).
     pub fn is_full(&self) -> bool {
-        self.raw_total >= self.capacity
+        self.data.len() >= self.capacity
     }
 
-    /// Compression accounting for the chunks pushed so far.
-    pub fn compression_stats(&self) -> CompressionStats {
-        self.stats
-    }
-
-    /// Append one chunk payload (raw bytes), compressing it when enabled
-    /// and strictly profitable; returns its entry.
-    pub fn push(&mut self, fp: Fingerprint, payload: &[u8]) -> ContainerEntry {
-        let compressed = if self.compress {
-            compress::compress(payload)
-        } else {
-            None
-        };
-        let stored: &[u8] = compressed.as_deref().unwrap_or(payload);
+    /// Append one chunk payload (raw bytes).
+    pub fn push(&mut self, fp: Fingerprint, payload: &[u8]) {
         assert!(
-            self.data.len() as u64 + stored.len() as u64 <= u32::MAX as u64,
+            self.data.len() as u64 + payload.len() as u64 <= u32::MAX as u64,
             "container data object exceeds the u32 offset space"
         );
-        let entry = ContainerEntry {
+        self.entries.push(ContainerEntry {
             fp,
             offset: self.data.len() as u32,
-            len: stored.len() as u32,
+            len: payload.len() as u32,
             raw_len: payload.len() as u32,
             deleted: false,
-        };
-        self.stats.chunks += 1;
-        self.stats.raw_bytes += payload.len() as u64;
-        self.stats.stored_bytes += stored.len() as u64;
-        if self.compress && compressed.is_none() {
-            self.stats.incompressible += 1;
-        }
-        self.data.extend_from_slice(stored);
-        self.raw_total += payload.len();
-        self.entries.push(entry);
-        entry
+        });
+        self.data.extend_from_slice(payload);
     }
 
-    /// Seal: produce the data object and its metadata.
+    /// Seal on the calling thread: produce the data object and its metadata.
     pub fn seal(self) -> (bytes::Bytes, ContainerMeta) {
+        let (data, meta, _) = self.seal_with(1);
+        (data, meta)
+    }
+
+    /// Seal: compress each payload where strictly profitable (when
+    /// compression is on), lay the stored payloads out back to back, and
+    /// produce the data object, its metadata and the compression accounting.
+    ///
+    /// Chunks compress independently, so the work is spread over up to
+    /// `fanout` scoped threads (the caller's included) and reassembled in
+    /// entry order: the result is byte-identical for every `fanout`.
+    pub fn seal_with(mut self, fanout: usize) -> (bytes::Bytes, ContainerMeta, CompressionStats) {
+        let mut stats = CompressionStats::default();
+        if self.compress {
+            let (packed, time) = compress_entries(&self.data, &self.entries, fanout);
+            stats.chunks = self.entries.len() as u64;
+            stats.raw_bytes = self.data.len() as u64;
+            stats.time = time;
+            // Compact in place: a stored payload is never longer than its
+            // raw form, so writing entry `i` cannot reach entry `i + 1`.
+            let mut at = 0usize;
+            for (entry, packed) in self.entries.iter_mut().zip(packed) {
+                let raw = entry.offset as usize..(entry.offset + entry.len) as usize;
+                entry.offset = at as u32;
+                match packed {
+                    Some(c) => {
+                        entry.len = c.len() as u32;
+                        self.data[at..at + c.len()].copy_from_slice(&c);
+                    }
+                    None => {
+                        stats.incompressible += 1;
+                        if raw.start != at {
+                            self.data.copy_within(raw, at);
+                        }
+                    }
+                }
+                at += entry.len as usize;
+            }
+            self.data.truncate(at);
+            stats.stored_bytes = at as u64;
+        }
         let data_len = self.data.len() as u32;
         (
             bytes::Bytes::from(self.data),
             ContainerMeta::new(self.id, self.entries, data_len),
+            stats,
         )
     }
+}
+
+/// Compress every (raw-layout) entry of `data` on up to `fanout` threads.
+/// Returns the per-entry results in entry order and the compressor time
+/// summed over the threads.
+fn compress_entries(
+    data: &[u8],
+    entries: &[ContainerEntry],
+    fanout: usize,
+) -> (Vec<Option<Vec<u8>>>, Duration) {
+    // Threads pull the next entry off a shared cursor, so a run of slow
+    // (compressible) chunks spreads itself.
+    let cursor = AtomicUsize::new(0);
+    let pack = || {
+        let t = Instant::now();
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(e) = entries.get(i) else { break };
+            let raw = &data[e.offset as usize..(e.offset + e.len) as usize];
+            done.push((i, compress::compress(raw)));
+        }
+        (done, t.elapsed())
+    };
+    let threads = fanout.min(data.len() / MIN_FAN_BYTES).max(1);
+    let results = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(pack)).collect();
+        let mut results = vec![pack()];
+        for h in helpers {
+            results.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        results
+    });
+    let mut packed = vec![None; entries.len()];
+    let mut time = Duration::ZERO;
+    for (done, elapsed) in results {
+        time += elapsed;
+        for (i, c) in done {
+            packed[i] = c;
+        }
+    }
+    (packed, time)
 }
 
 #[cfg(test)]
@@ -460,15 +528,16 @@ mod tests {
     #[test]
     fn builder_tracks_offsets() {
         let mut b = ContainerBuilder::new(ContainerId(1), 1024);
-        let e1 = b.push(fp(1), &[0u8; 100]);
-        let e2 = b.push(fp(2), &[0u8; 50]);
+        b.push(fp(1), &[0u8; 100]);
+        b.push(fp(2), &[0u8; 50]);
+        let (data, meta) = b.seal();
+        let (e1, e2) = (meta.entries[0], meta.entries[1]);
         assert_eq!(e1.offset, 0);
         assert_eq!(e1.len, 100);
         assert_eq!(e1.raw_len, 100);
         assert!(!e1.is_compressed());
         assert_eq!(e2.offset, 100);
         assert_eq!(e2.len, 50);
-        let (data, meta) = b.seal();
         assert_eq!(data.len(), 150);
         assert_eq!(meta.data_len, 150);
         assert_eq!(meta.total_chunks(), 2);
@@ -490,34 +559,38 @@ mod tests {
     fn compressing_builder_shrinks_storage_and_roundtrips() {
         let payload: Vec<u8> = b"slimstore ".iter().copied().cycle().take(4096).collect();
         let mut b = ContainerBuilder::new(ContainerId(7), 1 << 20).with_compression(true);
-        let e = b.push(fp(1), &payload);
+        b.push(fp(1), &payload);
+        let (data, meta, stats) = b.seal_with(1);
+        let e = meta.entries[0];
         assert!(e.is_compressed());
         assert_eq!(e.raw_len as usize, payload.len());
         assert!((e.len as usize) < payload.len());
-        let stats = b.compression_stats();
         assert_eq!(stats.chunks, 1);
         assert_eq!(stats.raw_bytes, payload.len() as u64);
+        assert_eq!(stats.stored_bytes, data.len() as u64);
         assert!(stats.stored_bytes < stats.raw_bytes);
         assert_eq!(stats.incompressible, 0);
-        let (data, meta) = b.seal();
         assert_eq!(data.len() as u32, meta.data_len);
-        assert!(data.len() < payload.len());
-        let back = meta.entries[0].payload_from(&data).unwrap();
+        let back = e.payload_from(&data).unwrap();
         assert_eq!(&back[..], &payload[..]);
+    }
+
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        use rand::{RngCore, SeedableRng};
+        let mut payload = vec![0u8; len];
+        rand::rngs::StdRng::seed_from_u64(seed).fill_bytes(&mut payload);
+        payload
     }
 
     #[test]
     fn incompressible_chunks_stored_raw() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut payload = vec![0u8; 2048];
-        rng.fill_bytes(&mut payload);
+        let payload = noise(3, 2048);
         let mut b = ContainerBuilder::new(ContainerId(8), 1 << 20).with_compression(true);
-        let e = b.push(fp(1), &payload);
-        assert!(!e.is_compressed());
-        assert_eq!(e.len, e.raw_len);
-        assert_eq!(b.compression_stats().incompressible, 1);
-        let (data, meta) = b.seal();
+        b.push(fp(1), &payload);
+        let (data, meta, stats) = b.seal_with(1);
+        assert!(!meta.entries[0].is_compressed());
+        assert_eq!(meta.entries[0].len, meta.entries[0].raw_len);
+        assert_eq!(stats.incompressible, 1);
         assert_eq!(meta.entries[0].payload_from(&data).unwrap(), payload);
     }
 
@@ -529,7 +602,6 @@ mod tests {
         let payload = vec![7u8; 100];
         let mut on = ContainerBuilder::new(ContainerId(1), 128).with_compression(true);
         on.push(fp(1), &payload);
-        assert!(on.stored_len() < 100, "payload compresses");
         assert_eq!(on.len(), 100, "capacity accounting sees raw bytes");
         assert!(on.would_overflow(29));
         assert!(!on.would_overflow(28));
@@ -538,6 +610,105 @@ mod tests {
         assert_eq!(on.would_overflow(29), off.would_overflow(29));
         assert_eq!(on.would_overflow(28), off.would_overflow(28));
         assert_eq!(on.is_full(), off.is_full());
+        assert!(on.seal().0.len() < 100, "payload compresses");
+    }
+
+    /// A container's worth of mixed payloads: compressible, incompressible
+    /// and tiny ones interleaved, so the seal's in-place compaction moves
+    /// raw payloads down past compressed ones.
+    fn mixed_payloads(total: usize) -> Vec<(Fingerprint, Vec<u8>)> {
+        let mut payloads = Vec::new();
+        let mut bytes = 0usize;
+        for k in 0u64.. {
+            if bytes >= total {
+                break;
+            }
+            let len = 1_000 + (k as usize * 733) % 9_000;
+            let payload = match k % 4 {
+                0 => noise(k, len),
+                1 => format!("row {k},segment,recipe,container\n")
+                    .repeat(len / 30)
+                    .into_bytes(),
+                2 => vec![k as u8; len],
+                _ => noise(k, 3), // below the compressor's minimum
+            };
+            bytes += payload.len();
+            let mut id = [0u8; 20];
+            id[..8].copy_from_slice(&k.to_le_bytes());
+            payloads.push((Fingerprint::from_bytes(id), payload));
+        }
+        payloads
+    }
+
+    #[test]
+    fn seal_is_identical_for_every_fanout() {
+        // Enough raw bytes that a fan-out of 8 really runs 8 threads.
+        let payloads = mixed_payloads(8 * MIN_FAN_BYTES + 10_000);
+        let build = || {
+            let mut b = ContainerBuilder::new(ContainerId(5), 4 << 20).with_compression(true);
+            for (fp, payload) in &payloads {
+                b.push(*fp, payload);
+            }
+            b
+        };
+        let (data, meta, stats) = build().seal_with(1);
+        assert_eq!(build().seal(), (data.clone(), meta.clone()));
+        for fanout in [0usize, 2, 8] {
+            let (d, m, s) = build().seal_with(fanout);
+            assert!(d == data, "fan-out {fanout}: data diverged");
+            assert_eq!(m.encode(), meta.encode(), "fan-out {fanout}: meta diverged");
+            assert_eq!(
+                CompressionStats {
+                    time: stats.time,
+                    ..s
+                },
+                stats,
+                "fan-out {fanout}"
+            );
+        }
+        // The stored layout is dense, in push order, and decodes.
+        let mut at = 0u32;
+        for (entry, (fp, payload)) in meta.entries.iter().zip(&payloads) {
+            assert_eq!((entry.fp, entry.offset), (*fp, at));
+            assert_eq!(entry.payload_from(&data).unwrap(), payload);
+            at += entry.len;
+        }
+        assert_eq!(at, meta.data_len);
+        assert_eq!(stats.chunks, payloads.len() as u64);
+        assert_eq!(stats.stored_bytes, data.len() as u64);
+        assert!(stats.incompressible >= payloads.len() as u64 / 2);
+        assert!(stats.stored_bytes < stats.raw_bytes * 2 / 3);
+    }
+
+    #[test]
+    fn seal_without_compression_is_the_raw_concatenation() {
+        let payloads = mixed_payloads(40_000);
+        let mut b = ContainerBuilder::new(ContainerId(6), 1 << 20);
+        for (fp, payload) in &payloads {
+            b.push(*fp, payload);
+        }
+        let (data, meta, stats) = b.seal_with(4);
+        assert_eq!(
+            stats,
+            CompressionStats::default(),
+            "knob off records nothing"
+        );
+        let mut expected = Vec::new();
+        for (entry, (fp, payload)) in meta.entries.iter().zip(&payloads) {
+            assert_eq!(
+                *entry,
+                ContainerEntry {
+                    fp: *fp,
+                    offset: expected.len() as u32,
+                    len: payload.len() as u32,
+                    raw_len: payload.len() as u32,
+                    deleted: false,
+                }
+            );
+            expected.extend_from_slice(payload);
+        }
+        assert_eq!(&data[..], &expected[..]);
+        assert_eq!(meta.data_len as usize, expected.len());
     }
 
     #[test]
