@@ -130,15 +130,8 @@ mod tests {
     use slim_chunking::{ChunkSpec, FastCdcChunker};
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use std::sync::Arc;
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
 
     fn make_system(cap: usize) -> (StorageLayer, CappingSystem, SlimConfig) {
         let storage = StorageLayer::open(Arc::new(Oss::in_memory()));

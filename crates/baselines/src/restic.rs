@@ -249,7 +249,7 @@ impl ResticSim {
         let _repo = self.repo.lock();
         let buf = self.fs.get(&Self::snapshot_key(file, version))?;
         let mut r = Reader::new(&buf, "restic snapshot");
-        let n = r.u32()? as usize;
+        let n = r.count(20 + 8 + 4 + 4)?;
         let mut sequence = Vec::with_capacity(n);
         for _ in 0..n {
             let fp = r.fingerprint()?;
@@ -301,14 +301,7 @@ impl ResticSim {
 mod tests {
     use super::*;
     use slim_oss::Oss;
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
+    use slim_types::rng::bytes as data;
 
     fn repo() -> ResticSim {
         // Small chunks so tests exercise multi-pack paths.

@@ -361,16 +361,9 @@ mod tests {
     use slim_index::SimilarFileIndex;
     use slim_lnode::backup::BackupPipeline;
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use slim_types::{FileId, SlimConfig, VersionId};
     use std::sync::Arc;
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
 
     /// Build a fragmented multi-version store and return (storage, recipe,
     /// expected bytes) for the last version.

@@ -90,7 +90,7 @@ impl SiloSystem {
         }
         let buf = self.storage.oss().get(&Self::block_key(id))?;
         let mut r = Reader::new(&buf, "silo block");
-        let n = r.u32()? as usize;
+        let n = r.count(20 + 8 + 4)?;
         let mut block = HashMap::with_capacity(n);
         for _ in 0..n {
             let fp = r.fingerprint()?;
@@ -197,15 +197,8 @@ mod tests {
     use slim_chunking::{ChunkSpec, FastCdcChunker};
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use std::sync::Arc;
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
 
     fn make_system() -> (StorageLayer, SiloSystem, SlimConfig) {
         let storage = StorageLayer::open(Arc::new(Oss::in_memory()));

@@ -83,7 +83,7 @@ impl SparseIndexingSystem {
         stats.index_fetches += 1;
         let buf = self.storage.oss().get(&Self::manifest_key(id))?;
         let mut r = Reader::new(&buf, "sparse-indexing manifest");
-        let n = r.u32()? as usize;
+        let n = r.count(20 + 8 + 4)?;
         let mut manifest = HashMap::with_capacity(n);
         for _ in 0..n {
             let fp = r.fingerprint()?;
@@ -203,15 +203,8 @@ mod tests {
     use slim_chunking::{ChunkSpec, FastCdcChunker};
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use std::sync::Arc;
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
 
     fn make_system() -> (StorageLayer, SparseIndexingSystem, SlimConfig) {
         let storage = StorageLayer::open(Arc::new(Oss::in_memory()));

@@ -15,7 +15,6 @@
 //! | `exp_table2` | Table II — prefetch thread scaling |
 //! | `exp_fig9`   | Fig 9 — space management |
 //! | `exp_fig10`  | Fig 10 — vs restic: scaling + space |
-//! | `micro`      | Criterion micro-benchmarks of the hot primitives |
 //!
 //! Experiment scale is controlled by the `SLIM_SCALE` environment variable
 //! (default `1.0`); absolute numbers depend on the machine, the *shapes*
@@ -24,7 +23,7 @@
 use std::time::Duration;
 
 use slim_oss::NetworkModel;
-use slim_telemetry::TelemetrySnapshot;
+use slim_telemetry::{JsonValue, TelemetrySnapshot};
 use slim_types::FileId;
 use slim_workload::{Workload, WorkloadConfig};
 
@@ -138,21 +137,16 @@ impl Table {
 
     /// Rows as JSON objects keyed by column name (emitted alongside the
     /// rendered table when `SLIM_JSON=1`, for machine consumption).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::Value::Array(
-            self.rows
-                .iter()
-                .map(|row| {
-                    serde_json::Value::Object(
-                        self.header
-                            .iter()
-                            .zip(row)
-                            .map(|(k, v)| (k.clone(), serde_json::Value::String(v.clone())))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
+    pub fn to_json(&self) -> String {
+        let rows = self.rows.iter().map(|row| {
+            let cells = self.header.iter().zip(row);
+            JsonValue::Object(
+                cells
+                    .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())))
+                    .collect(),
+            )
+        });
+        JsonValue::Array(rows.collect()).render()
     }
 
     /// Render to stdout (plus one JSON line when `SLIM_JSON=1`).
@@ -250,9 +244,7 @@ mod tests {
         let mut t = Table::new(&["a", "bb"]);
         t.row(vec!["1".into(), "2".into()]);
         t.print();
-        let json = t.to_json();
-        assert_eq!(json[0]["a"], "1");
-        assert_eq!(json[0]["bb"], "2");
+        assert_eq!(t.to_json(), r#"[{"a":"1","bb":"2"}]"#);
     }
 
     #[test]

@@ -6,21 +6,20 @@
 //! bytes have shifted out of the word), so it behaves like a 64-byte sliding
 //! window at a fraction of Rabin's cost.
 
+use slim_types::rng::Rng;
+
 use crate::{ChunkSpec, Chunker};
 
 /// Effective window: a byte's influence is gone after 64 left-shifts.
 pub const GEAR_WINDOW: usize = 64;
 
 /// The 256 random gear constants, generated deterministically from SplitMix64
-/// so every build of the library chunks identically.
+/// so every build of the library chunks identically (draws 2..=257 of the
+/// stream; pinned by `gear_table_is_pinned`).
 pub(crate) fn gear_table() -> [u64; 256] {
-    let mut table = [0u64; 256];
-    let mut state: u64 = 0x6c62_272e_07bb_0142;
-    for slot in table.iter_mut() {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        *slot = slim_types::bloom::mix64(state);
-    }
-    table
+    let mut rng = Rng::seed_from_u64(0x6c62_272e_07bb_0142);
+    rng.next_u64();
+    [(); 256].map(|_| rng.next_u64())
 }
 
 /// Gear-hash CDC chunker.
@@ -107,6 +106,16 @@ mod tests {
 
     fn chunker() -> GearChunker {
         GearChunker::new(ChunkSpec::new(64, 256, 1024))
+    }
+
+    // Golden vector: the table decides every FastCDC/Gear cut point, so a
+    // change here re-chunks every stored repository.
+    #[test]
+    fn gear_table_is_pinned() {
+        let table = gear_table();
+        assert_eq!(table[0], 0x8070_11EB_BB31_3DC0);
+        assert_eq!(table[255], 0x631E_E052_4B6F_D9A7);
+        assert_eq!(table.iter().fold(0, |a, b| a ^ b), 0x720F_026E_302D_FCED);
     }
 
     #[test]

@@ -99,14 +99,9 @@ pub trait Chunker: Send + Sync {
 
 #[cfg(test)]
 pub(crate) mod test_util {
-    use rand::{RngCore, SeedableRng};
-
     /// Deterministic pseudo-random buffer.
     pub fn random_data(len: usize, seed: u64) -> Vec<u8> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
+        slim_types::rng::bytes(seed, len)
     }
 
     /// Assert the boundary list produced by a chunker is internally

@@ -277,6 +277,7 @@ mod tests {
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
     use slim_oss::rocks::RocksConfig;
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use slim_types::{FileId, SlimConfig, VersionManifest};
     use std::sync::Arc;
 
@@ -318,14 +319,6 @@ mod tests {
             );
         }
         out
-    }
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
     }
 
     impl Env {

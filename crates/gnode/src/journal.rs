@@ -95,7 +95,7 @@ impl Intent {
                 new: ContainerId(r.u64()?),
             },
             2 => {
-                let n = r.u32()? as usize;
+                let n = r.count(8)?;
                 let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(ContainerId(r.u64()?));
@@ -103,7 +103,7 @@ impl Intent {
                 Intent::DropContainers { ids }
             }
             3 => {
-                let n = r.u32()? as usize;
+                let n = r.count(20 + 8)?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let fp = r.fingerprint()?;
@@ -112,7 +112,7 @@ impl Intent {
                 Intent::RepointIndex { entries }
             }
             4 => {
-                let n = r.u32()? as usize;
+                let n = r.count(4)?;
                 let mut keys = Vec::with_capacity(n);
                 for _ in 0..n {
                     keys.push(r.string()?);
@@ -253,6 +253,17 @@ mod tests {
         for intent in sample_intents() {
             let buf = intent.encode();
             assert_eq!(Intent::decode(&buf).unwrap(), intent);
+        }
+    }
+
+    #[test]
+    fn oversized_list_counts_are_corrupt() {
+        // Header (5) + kind (1), then the list count of kinds 2, 3 and 4.
+        for intent in &sample_intents()[1..] {
+            let mut payload = crc::unseal(&intent.encode(), "test").unwrap().to_vec();
+            payload[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+            let tampered = Intent::decode(&crc::seal(&payload));
+            assert!(matches!(tampered, Err(SlimError::Corrupt { .. })));
         }
     }
 

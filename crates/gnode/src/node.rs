@@ -17,7 +17,7 @@
 //! corrupted maintenance outputs, and re-derives lost global-index entries
 //! from container metadata.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use slim_index::{GlobalIndex, SimilarFileIndex};
 use slim_lnode::StorageLayer;
@@ -524,8 +524,19 @@ impl GNode {
         let _stage = self.telemetry.span("verify_checksums");
         let mut report = IntegrityReport::default();
         let mut doomed: HashSet<ContainerId> = HashSet::new();
-        let mut ids = self.storage.list_containers();
-        ids.sort();
+        // A container lists itself by its meta object, so one whose meta was
+        // lost outright would be invisible here (and the next re-tier would
+        // drop its protection as "deleted"): its meta replica still names it.
+        let mut ids: BTreeSet<ContainerId> = self.storage.list_containers().into_iter().collect();
+        ids.extend(
+            self.storage
+                .oss()
+                .list(layout::REPLICA_PREFIX)
+                .iter()
+                .filter_map(|rkey| layout::replica_original(rkey))
+                .filter(|key| key.ends_with("/meta"))
+                .filter_map(layout::parse_container_key),
+        );
         for id in ids {
             report.containers_checked += 1;
             if let ContainerState::Corrupt = self.container_state(id)? {
@@ -735,6 +746,7 @@ mod tests {
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
     use slim_oss::rocks::RocksConfig;
     use slim_oss::{ObjectStore, Oss};
+    use slim_types::rng::bytes as data;
     use slim_types::{FileId, VersionManifest};
     use std::sync::Arc;
 
@@ -768,14 +780,6 @@ mod tests {
             gnode,
             config,
         }
-    }
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
     }
 
     impl Env {

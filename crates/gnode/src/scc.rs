@@ -241,6 +241,7 @@ mod tests {
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
     use slim_oss::rocks::RocksConfig;
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use std::sync::Arc;
 
     struct Env {
@@ -264,14 +265,6 @@ mod tests {
             journal: Journal::open(Arc::new(oss)),
             config: SlimConfig::small_for_tests(),
         }
-    }
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
     }
 
     impl Env {
@@ -333,11 +326,15 @@ mod tests {
             let ids = env.backup(file, v, &cur);
             inputs.push(cur.clone());
             containers.push(ids);
-            // Replace most of the file each version, keeping a small slice.
-            let keep = cur[..8_000].to_vec();
-            cur = data(100 + v, 56_000);
-            cur.splice(0..0, keep);
-            cur.truncate(64_000);
+            // Replace most of the file each version, keeping a 1 000-byte
+            // sliver of every 8 000 (a container's worth): whatever the byte
+            // stream, each old container stays referenced by a few chunks.
+            let fresh = data(100 + v, 64_000);
+            cur = cur
+                .chunks(8_000)
+                .zip(fresh.chunks(8_000))
+                .flat_map(|(old, new)| [&old[..1_000], &new[1_000..]].concat())
+                .collect();
         }
         (inputs, containers)
     }

@@ -148,12 +148,12 @@ impl SimilarFileIndex {
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf, "similar file index");
         r.expect_header(MAGIC, VERSION)?;
-        let n = r.u32()? as usize;
+        let n = r.count(4 + 8 + 4)?;
         let index = SimilarFileIndex::new();
         for _ in 0..n {
             let file = FileId::new(r.string()?);
             let version = VersionId(r.u64()?);
-            let k = r.u32()? as usize;
+            let k = r.count(20)?;
             let mut samples = Vec::with_capacity(k);
             for _ in 0..k {
                 samples.push(r.fingerprint()?);
@@ -260,6 +260,22 @@ mod tests {
             back.detect(&FileId::new("?"), &[fp(1)]),
             Detection::SimilarFile(_, VersionId(1), 1)
         ));
+    }
+
+    #[test]
+    fn oversized_counts_are_corrupt() {
+        let idx = SimilarFileIndex::new();
+        idx.register(FileId::new("a"), VersionId(1), vec![fp(1), fp(2)]);
+        // Header (5), file count; then name (4 + 1), version (8), sample count.
+        for at in [5, 5 + 4 + 5 + 8] {
+            let mut buf = idx.encode().to_vec();
+            buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let tampered = SimilarFileIndex::decode(&buf);
+            assert!(matches!(
+                tampered,
+                Err(slim_types::SlimError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]

@@ -579,10 +579,20 @@ impl Job<'_, '_> {
         let Some(first_span) = self.segment_spans.get(&idx).copied() else {
             return Ok(None);
         };
+        // The recipe index is not sealed: its spans and segment numbers are
+        // whatever the bucket returned, so no arithmetic on them may wrap.
+        let span_end = |span: SegmentSpan| {
+            span.offset.checked_add(span.len).ok_or_else(|| {
+                SlimError::corrupt(
+                    "recipe index",
+                    format!("segment span {}+{} overflows", span.offset, span.len),
+                )
+            })
+        };
         // Extend the read over contiguous, unfetched following segments.
         let mut batch = vec![(idx, first_span)];
-        let mut end = first_span.offset + first_span.len;
-        for next in idx + 1..idx + PREFETCH_BATCH {
+        let mut end = span_end(first_span)?;
+        for next in idx.saturating_add(1)..idx.saturating_add(PREFETCH_BATCH) {
             if self.fetched_segments.contains(&next) {
                 break;
             }
@@ -592,7 +602,7 @@ impl Job<'_, '_> {
             if span.offset != end {
                 break; // not contiguous (should not happen, but be safe)
             }
-            end = span.offset + span.len;
+            end = span_end(span)?;
             batch.push((next, span));
         }
         let t = Instant::now();
@@ -617,8 +627,10 @@ impl Job<'_, '_> {
         let mut first_of_idx = None;
         for (seg_idx, span) in batch {
             let lo = (span.offset - first_span.offset) as usize;
-            let hi = lo + span.len as usize;
-            let seg = SegmentRecipe::decode_block(&buf[lo..hi])?;
+            let block = buf.get(lo..lo + span.len as usize).ok_or_else(|| {
+                SlimError::corrupt("recipe index", "segment span outside the fetched range")
+            })?;
+            let seg = SegmentRecipe::decode_block(block)?;
             let first = seg.records.first().copied();
             let t = Instant::now();
             self.cache.insert_segment(seg, seg_idx);
@@ -646,7 +658,10 @@ impl Job<'_, '_> {
             if let Some(hit) = self.cache.peek(&rec.fp) {
                 self.prediction = match hit.next {
                     Some(next) => Some(next),
-                    None => self.fetch_segment(hit.segment + 1)?,
+                    None => match hit.segment.checked_add(1) {
+                        Some(following) => self.fetch_segment(following)?,
+                        None => None,
+                    },
                 };
             }
         }
@@ -821,6 +836,7 @@ mod tests {
     use super::*;
     use slim_chunking::{ChunkSpec, FastCdcChunker};
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use std::sync::Arc;
 
     fn setup() -> (Oss, StorageLayer, SimilarFileIndex, SlimConfig) {
@@ -832,14 +848,6 @@ mod tests {
             SimilarFileIndex::new(),
             SlimConfig::small_for_tests(),
         )
-    }
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
     }
 
     fn backup(
@@ -908,6 +916,44 @@ mod tests {
         assert_eq!(reassemble(&storage, &file, 1), v1);
         // v0 must still restore.
         assert_eq!(reassemble(&storage, &file, 0), v0);
+    }
+
+    /// The recipe index is not sealed, so its numbers are whatever the
+    /// bucket returned: wrapping spans end in a typed error and a segment
+    /// number at the top of `u32` is simply the last one — never a panic
+    /// (this runs with overflow checks on).
+    #[test]
+    fn tampered_recipe_index_never_panics_the_backup() {
+        use slim_oss::ObjectStore;
+        for wrap_spans in [true, false] {
+            let (oss, storage, similar, cfg) = setup();
+            let file = FileId::new("f");
+            let v0 = data(4, 60_000);
+            backup(&storage, &similar, &cfg, &file, 0, &v0);
+            let key = slim_types::layout::recipe_index(&file, VersionId(0));
+            let mut index = storage.get_recipe_index(&file, VersionId(0)).unwrap();
+            for e in &mut index.entries {
+                e.segment_idx = u32::MAX;
+                if wrap_spans {
+                    e.span.offset = u64::MAX - 1;
+                }
+            }
+            oss.put(&key, index.encode()).unwrap();
+
+            let chunker = FastCdcChunker::new(ChunkSpec::from_config(&cfg));
+            let pipeline = BackupPipeline::new(&storage, &similar, &chunker, &cfg);
+            match pipeline.backup_file(&file, VersionId(1), &v0) {
+                Err(SlimError::Corrupt { what, .. }) => {
+                    assert!(wrap_spans);
+                    assert_eq!(what, "recipe index");
+                }
+                Err(other) => panic!("untyped for a corrupt index: {other}"),
+                Ok(_) => {
+                    assert!(!wrap_spans);
+                    assert_eq!(reassemble(&storage, &file, 1), v0);
+                }
+            }
+        }
     }
 
     #[test]
@@ -999,7 +1045,6 @@ mod tests {
 
     /// Compressible input: seeded sentences over a small vocabulary.
     fn text(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{Rng, SeedableRng};
         const WORDS: [&str; 8] = [
             "container",
             "chunk",
@@ -1010,7 +1055,7 @@ mod tests {
             "dedup",
             "object",
         ];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = slim_types::rng::Rng::seed_from_u64(seed);
         let mut out = Vec::with_capacity(len + 16);
         while out.len() < len {
             out.extend_from_slice(WORDS[rng.gen_range(0..WORDS.len())].as_bytes());

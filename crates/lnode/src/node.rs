@@ -160,6 +160,7 @@ impl LNode {
 mod tests {
     use super::*;
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
 
     fn make_node(kind: ChunkerKind) -> LNode {
         let storage = StorageLayer::open(Arc::new(Oss::in_memory()));
@@ -170,14 +171,6 @@ mod tests {
             kind,
         )
         .unwrap()
-    }
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
     }
 
     #[test]

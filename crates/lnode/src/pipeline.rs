@@ -396,18 +396,10 @@ mod tests {
         FastCdcChunker::new(ChunkSpec::new(64, 256, 1024))
     }
 
-    fn random_data(len: usize, seed: u64) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
-
     #[test]
     fn feed_reproduces_the_plain_cdc_stream() {
         let c = chunker();
-        let data = random_data(100_000, 1);
+        let data = slim_types::rng::bytes(1, 100_000);
         let expected = chunk_all(&c, &data);
         for workers in [0usize, 1, 3] {
             let shared = Arc::new(PipelineShared::default());
@@ -433,7 +425,7 @@ mod tests {
     #[test]
     fn feed_discards_jumped_over_chunks() {
         let c = chunker();
-        let data = random_data(60_000, 2);
+        let data = slim_types::rng::bytes(2, 60_000);
         let expected = chunk_all(&c, &data);
         assert!(expected.len() > 8, "need enough chunks to jump over");
         std::thread::scope(|s| {
@@ -453,7 +445,7 @@ mod tests {
     #[test]
     fn feed_peek_does_not_consume() {
         let c = chunker();
-        let data = random_data(20_000, 3);
+        let data = slim_types::rng::bytes(3, 20_000);
         std::thread::scope(|s| {
             let shared = Arc::new(PipelineShared::default());
             let mut feed = ChunkFeed::spawn(s, &c, &data, 1, shared);

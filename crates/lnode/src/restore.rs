@@ -299,15 +299,8 @@ mod tests {
     use slim_chunking::{ChunkSpec, FastCdcChunker};
     use slim_index::SimilarFileIndex;
     use slim_oss::Oss;
+    use slim_types::rng::bytes as data;
     use std::sync::Arc;
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
 
     struct Env {
         storage: StorageLayer,

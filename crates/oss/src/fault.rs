@@ -9,9 +9,9 @@
 //! - **Transient** plans ([`FaultPlan::TransientProb`],
 //!   [`FaultPlan::Throttle`], [`FaultPlan::Latency`]) model the 5xx/429/slow
 //!   behaviour of real object stores. They are driven by per-plan operation
-//!   counters and a seeded splitmix64 stream, so an armed schedule is fully
-//!   reproducible: the same seed and the same operation sequence yield the
-//!   same faults on every run.
+//!   counters and a seeded `slim_types::rng` stream, so an armed schedule is
+//!   fully reproducible: the same seed and the same operation sequence yield
+//!   the same faults on every run.
 //!
 //! Multiple plans can be armed at once via [`FaultState::arm_also`] (e.g.
 //! latency on every op plus probabilistic transient failures); the first
@@ -21,6 +21,7 @@
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use slim_types::rng::{mix64, unit_f64};
 
 /// What operations to fail.
 #[derive(Debug, Clone)]
@@ -234,7 +235,7 @@ impl FaultState {
                 FaultPlan::TransientProb { prefix, prob, seed } => {
                     if key.starts_with(prefix.as_str()) {
                         armed.seen += 1;
-                        (unit_f64(splitmix64(seed.wrapping_add(armed.seen))) < *prob)
+                        (unit_f64(mix64(seed.wrapping_add(armed.seen))) < *prob)
                             .then_some(FaultErrorKind::Transient)
                     } else {
                         None
@@ -257,7 +258,7 @@ impl FaultState {
                         if corruption.is_none() {
                             corruption = Some(Corruption {
                                 kind: *kind,
-                                salt: splitmix64(seed.wrapping_add(armed.seen)),
+                                salt: mix64(seed.wrapping_add(armed.seen)),
                             });
                         }
                     }
@@ -273,7 +274,7 @@ impl FaultState {
                 } => {
                     if key.starts_with(prefix.as_str()) && target.map_or(true, |t| t == endpoint) {
                         armed.seen += 1;
-                        let u = unit_f64(splitmix64(seed.wrapping_add(armed.seen)));
+                        let u = unit_f64(mix64(seed.wrapping_add(armed.seen)));
                         delay += pareto_delay(*scale, *shape, *cap, u);
                     }
                     None
@@ -285,7 +286,7 @@ impl FaultState {
                 } => {
                     if *target == endpoint {
                         armed.seen += 1;
-                        (unit_f64(splitmix64(seed.wrapping_add(armed.seen))) < *prob)
+                        (unit_f64(mix64(seed.wrapping_add(armed.seen))) < *prob)
                             .then_some(FaultErrorKind::Transient)
                     } else {
                         None
@@ -321,19 +322,6 @@ fn pareto_delay(scale: Duration, shape: f64, cap: Duration, u: f64) -> Duration 
         return cap;
     }
     scale.mul_f64(factor).min(cap)
-}
-
-/// splitmix64 — tiny, dependency-free, statistically solid PRNG step.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Map a u64 to a uniform f64 in `[0, 1)` using the top 53 bits.
-pub(crate) fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -573,11 +561,19 @@ mod tests {
         assert!(st.decide("k").error.is_some());
     }
 
+    // Golden vector: armed schedules in tests/ and CI replay by seed, so the
+    // draw for (seed, ordinal) is pinned.
     #[test]
-    fn unit_f64_stays_in_range() {
-        for i in 0..1000u64 {
-            let u = unit_f64(splitmix64(i));
-            assert!((0.0..1.0).contains(&u));
-        }
+    fn transient_prob_schedule_is_pinned() {
+        let st = FaultState::default();
+        st.arm(FaultPlan::TransientProb {
+            prefix: "k".into(),
+            prob: 0.3,
+            seed: 42,
+        });
+        let schedule: String = (0..32)
+            .map(|_| if fails(&st, "k") { 'x' } else { '.' })
+            .collect();
+        assert_eq!(schedule, ".....xx.......x...xx..xx.x.....x");
     }
 }

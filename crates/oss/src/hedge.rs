@@ -36,10 +36,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use slim_telemetry::{Counter, Histogram, Registry, Scope};
+use slim_types::rng::{mix64, unit_f64};
 use slim_types::{Deadline, Result, SlimError};
 
 use crate::endpoint;
-use crate::fault::{splitmix64, unit_f64};
 use crate::health::HealthTracker;
 use crate::store::{only, ObjectStore};
 
@@ -178,7 +178,7 @@ impl CircuitBreaker {
             .seed
             .wrapping_add((endpoint as u64) << 32)
             .wrapping_add(st.draws);
-        let admit = unit_f64(splitmix64(x)) < self.policy.probe_prob;
+        let admit = unit_f64(mix64(x)) < self.policy.probe_prob;
         if admit {
             self.probes.inc();
         }
@@ -553,7 +553,7 @@ impl HedgedStore {
                         Ok((twin_hedge, twin)) if sick_count(&twin) == 0 => {
                             let ordinal = shared.ties.fetch_add(1, Ordering::Relaxed);
                             let pick_hedge =
-                                splitmix64(shared.policy.seed.wrapping_add(ordinal)) & 1 == 1;
+                                mix64(shared.policy.seed.wrapping_add(ordinal)) & 1 == 1;
                             if pick_hedge == twin_hedge {
                                 (twin_hedge, twin)
                             } else {

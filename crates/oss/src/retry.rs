@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use slim_telemetry::{Counter, Histogram, Registry, Scope};
+use slim_types::rng::{mix64, unit_f64};
 use slim_types::{Deadline, Result, SlimError};
 
-use crate::fault::{splitmix64, unit_f64};
 use crate::metrics::MetricsSnapshot;
 use crate::store::{only, ObjectStore};
 
@@ -59,7 +59,7 @@ impl RetryPolicy {
     /// wrapper instances built from one config draw *distinct* (still
     /// deterministic) jitter sequences and never back off in lockstep.
     pub fn salted(mut self, salt: u64) -> Self {
-        self.jitter_seed = splitmix64(self.jitter_seed ^ salt);
+        self.jitter_seed = mix64(self.jitter_seed ^ salt);
         self
     }
 
@@ -87,7 +87,7 @@ impl RetryPolicy {
             .base_delay
             .saturating_mul(1u32 << exp.min(31))
             .min(self.max_delay);
-        let jitter = 0.5 + 0.5 * unit_f64(splitmix64(self.jitter_seed.wrapping_add(retry as u64)));
+        let jitter = 0.5 + 0.5 * unit_f64(mix64(self.jitter_seed.wrapping_add(retry as u64)));
         raw.mul_f64(jitter)
     }
 }

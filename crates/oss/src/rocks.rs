@@ -177,7 +177,7 @@ impl RocksOss {
         let mut r = Reader::new(&buf, "rocks manifest");
         r.expect_header(MANIFEST_MAGIC, MANIFEST_VERSION)?;
         let next_table_id = r.u64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut ids = Vec::with_capacity(n);
         for _ in 0..n {
             ids.push(r.u64()?);
@@ -590,7 +590,7 @@ fn parse_sst_footer(
     r.expect_header(SST_MAGIC, SST_VERSION)?;
     let min_key = r.bytes()?;
     let max_key = r.bytes()?;
-    let n = r.u32()? as usize;
+    let n = r.count(4 + 8)?;
     let mut sparse_index = Vec::with_capacity(n);
     for _ in 0..n {
         let k = r.bytes()?;
@@ -874,6 +874,21 @@ mod tests {
     }
 
     #[test]
+    fn oversized_manifest_table_count_is_corrupt() {
+        let oss = Oss::in_memory();
+        let store: Arc<dyn ObjectStore> = Arc::new(oss.clone());
+        let db = RocksOss::create(store.clone(), "m/", RocksConfig::small_for_tests());
+        db.put(b"k", b"v").unwrap();
+        db.flush().unwrap();
+        // Header (5), next table id (8), then the table count.
+        let mut manifest = oss.get("m/MANIFEST").unwrap().to_vec();
+        manifest[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        oss.put("m/MANIFEST", manifest.into()).unwrap();
+        let reopened = RocksOss::open(store, "m/", RocksConfig::small_for_tests());
+        assert!(matches!(reopened, Err(SlimError::Corrupt { .. })));
+    }
+
+    #[test]
     fn corrupt_sstable_is_quarantined_not_served() {
         let oss = Oss::in_memory();
         let store: Arc<dyn ObjectStore> = Arc::new(oss.clone());
@@ -929,15 +944,14 @@ mod tests {
 
     #[test]
     fn large_random_workload_matches_btreemap_model() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = slim_types::rng::Rng::seed_from_u64(7);
         let db = new_store();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for _ in 0..2000 {
             let key = format!("key{:04}", rng.gen_range(0..300)).into_bytes();
             match rng.gen_range(0..10) {
                 0..=6 => {
-                    let val = format!("v{}", rng.gen::<u32>()).into_bytes();
+                    let val = format!("v{}", rng.next_u64() as u32).into_bytes();
                     db.put(&key, &val).unwrap();
                     model.insert(key, val);
                 }

@@ -5,9 +5,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use slim_oss::rocks::{RocksConfig, RocksOss};
 use slim_oss::{ObjectStore, Oss};
+use slim_types::rng::{cases, Rng};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -18,21 +18,21 @@ enum Op {
     Reopen,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        6 => (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Put(k % 128, v)),
-        2 => any::<u16>().prop_map(|k| Op::Delete(k % 128)),
-        1 => Just(Op::Flush),
-        1 => Just(Op::Compact),
-        1 => Just(Op::Reopen),
-    ]
+/// Weighted 6 : 2 : 1 : 1 : 1.
+fn gen_op(rng: &mut Rng) -> Op {
+    match rng.gen_range(0..11) {
+        0..=5 => Op::Put(rng.gen_range(0..128), rng.next_u64() as u32),
+        6..=7 => Op::Delete(rng.gen_range(0..128)),
+        8 => Op::Flush,
+        9 => Op::Compact,
+        _ => Op::Reopen,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn matches_btreemap_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+#[test]
+fn matches_btreemap_model() {
+    cases(24, 0x0DB0_0001, |rng| {
+        let ops: Vec<Op> = (0..rng.gen_range(1..120)).map(|_| gen_op(rng)).collect();
         let oss: Arc<dyn ObjectStore> = Arc::new(Oss::in_memory());
         let mut db = RocksOss::create(oss.clone(), "p/", RocksConfig::small_for_tests());
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -60,11 +60,15 @@ proptest! {
         // Full agreement with the model, including absent keys.
         for k in 0u16..128 {
             let key = k.to_be_bytes().to_vec();
-            prop_assert_eq!(db.get(&key).unwrap(), model.get(&key).cloned(), "key {}", k);
+            assert_eq!(
+                db.get(&key).unwrap(),
+                model.get(&key).cloned(),
+                "key {k} after {ops:?}"
+            );
         }
         let scanned = db.scan_prefix(&[]).unwrap();
-        prop_assert_eq!(scanned.len(), model.len());
-    }
+        assert_eq!(scanned.len(), model.len());
+    });
 }
 
 #[test]

@@ -595,14 +595,7 @@ impl SlimStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn data(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    }
+    use slim_types::rng::bytes as data;
 
     fn store() -> SlimStore {
         SlimStoreBuilder::in_memory()

@@ -30,8 +30,11 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A JSON document of that subset. Public so other crates' machine-readable
+/// output (the figure harness's `SLIM_JSON` rows) renders through the same
+/// writer; parsing and field access stay internal to snapshots.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum JsonValue {
+pub enum JsonValue {
     Int(i128),
     Str(String),
     Array(Vec<JsonValue>),
@@ -41,7 +44,8 @@ pub(crate) enum JsonValue {
 }
 
 impl JsonValue {
-    pub(crate) fn render(&self) -> String {
+    /// Compact JSON text.
+    pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
         out

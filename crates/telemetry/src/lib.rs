@@ -44,7 +44,7 @@ mod registry;
 mod snapshot;
 mod span;
 
-pub use json::JsonError;
+pub use json::{JsonError, JsonValue};
 pub use metric::{bucket_ceiling, bucket_of, Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{Registry, Scope};
 pub use snapshot::{HistogramSnapshot, TelemetrySnapshot};

@@ -13,16 +13,7 @@
 //! fingerprints — SHA-1 prefixes are uniform). Double hashing derives the k
 //! probe positions from two mixes of the key.
 
-use serde::{Deserialize, Serialize};
-
-/// Finalizer from SplitMix64; a cheap, well-distributed 64-bit mixer.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::rng::mix64;
 
 /// Hash arbitrary bytes to a u64 (FNV-1a then mixed); used for string keys.
 #[inline]
@@ -45,7 +36,7 @@ fn probes(key: u64, k: u32, slots: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Standard bloom filter over 64-bit keys.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     n_bits: usize,

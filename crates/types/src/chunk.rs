@@ -6,15 +6,13 @@
 //! *first* member chunk (`firstChunk`), which is how later versions detect a
 //! candidate superchunk match (Algorithm 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Reader, Writer};
 use crate::container::ContainerId;
 use crate::error::Result;
 use crate::fingerprint::Fingerprint;
 
 /// Metadata identifying a superchunk (a run of merged chunks, §IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperChunkInfo {
     /// Fingerprint of the first member chunk; a CDC chunk matching this
     /// fingerprint triggers the SuperChunking probe of Algorithm 1.
@@ -26,7 +24,7 @@ pub struct SuperChunkInfo {
 }
 
 /// One entry in a recipe: where one logical chunk of the backup file lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord {
     /// SHA-1 fingerprint of the chunk payload.
     pub fp: Fingerprint,
@@ -64,6 +62,10 @@ impl ChunkRecord {
     pub fn is_super(&self) -> bool {
         self.super_chunk.is_some()
     }
+
+    /// Shortest encoding of a record (no superchunk info): what a decoder
+    /// passes to [`Reader::count`] before sizing a record vector.
+    pub const MIN_ENCODED_LEN: usize = 20 + 8 + 4 + 4 + 1;
 
     /// Encode into `w`.
     pub fn encode(&self, w: &mut Writer) {

@@ -70,6 +70,25 @@ impl<'a> Reader<'a> {
         Ok(Fingerprint(bytes))
     }
 
+    /// Decode a `u32` element count for a sequence whose elements each
+    /// encode to at least `min_item_bytes` (> 0). A count the rest of the
+    /// buffer cannot possibly hold is corruption, reported before the caller
+    /// sizes a collection from it: untrusted input never allocates more than
+    /// a small multiple of its own length.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_item_bytes {
+            return Err(SlimError::corrupt(
+                self.what,
+                format!(
+                    "count {n} needs at least {min_item_bytes} bytes each, {} remain",
+                    self.remaining()
+                ),
+            ));
+        }
+        Ok(n)
+    }
+
     /// Decode a `u32`-length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>> {
         let len = self.u32()? as usize;
@@ -88,16 +107,7 @@ impl<'a> Reader<'a> {
 
     /// Check a 4-byte magic and a format version byte.
     pub fn expect_header(&mut self, magic: &[u8; 4], version: u8) -> Result<()> {
-        self.ensure(5)?;
-        let mut got = [0u8; 4];
-        self.buf.copy_to_slice(&mut got);
-        if &got != magic {
-            return Err(SlimError::corrupt(
-                self.what,
-                format!("bad magic {got:02x?}, expected {magic:02x?}"),
-            ));
-        }
-        let v = self.buf.get_u8();
+        let v = self.sniff_header(magic)?;
         if v != version {
             return Err(SlimError::corrupt(
                 self.what,
@@ -264,6 +274,19 @@ mod tests {
         let buf = w.freeze();
         let mut r = Reader::new(&buf[..4], "test");
         assert!(r.u64().is_err());
+    }
+
+    #[test]
+    fn count_is_bounded_by_what_remains() {
+        let mut w = Writer::new();
+        w.u32(3).u64(1).u64(2).u64(3);
+        let buf = w.freeze();
+        assert_eq!(Reader::new(&buf, "test").count(8).unwrap(), 3);
+        assert!(Reader::new(&buf, "test").count(9).is_err());
+        let mut w = Writer::new();
+        w.u32(u32::MAX).u64(0);
+        assert!(Reader::new(&w.freeze(), "test").count(1).is_err());
+        assert!(Reader::new(&[0, 0], "test").count(1).is_err());
     }
 
     #[test]

@@ -370,6 +370,7 @@ pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::bytes as noise;
 
     fn roundtrip(input: &[u8]) -> Option<Vec<u8>> {
         compress(input).map(|c| {
@@ -466,20 +467,12 @@ mod tests {
         roundtrip(input)
     }
 
-    fn noise(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut buf = vec![0u8; len];
-        rand::rngs::StdRng::seed_from_u64(seed).fill_bytes(&mut buf);
-        buf
-    }
-
     /// Database-dump-like rows: a few columns, shared vocabulary, numbers.
     fn rows(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{Rng, SeedableRng};
         const CITIES: [&str; 6] = [
             "Hangzhou", "Shenzhen", "Beijing", "Chengdu", "Wuhan", "Xiamen",
         ];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = crate::rng::Rng::seed_from_u64(seed);
         let mut out = Vec::with_capacity(len + 64);
         let mut id = rng.gen_range(1_000u64..9_000_000);
         while out.len() < len {
@@ -521,10 +514,7 @@ mod tests {
 
     #[test]
     fn random_data_stored_raw() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut buf = vec![0u8; 16 * 1024];
-        rng.fill_bytes(&mut buf);
+        let buf = noise(7, 16 * 1024);
         assert!(compress(&buf).is_none(), "random bytes are incompressible");
     }
 

@@ -4,12 +4,10 @@
 //! experiment harnesses sweep these; the library validates them once at
 //! construction so the hot paths can assume sane values.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, SlimError};
 
 /// Configuration for a SLIMSTORE deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlimConfig {
     /// Minimum CDC chunk size in bytes (cut points below this are ignored).
     pub min_chunk_size: usize,
@@ -70,18 +68,15 @@ pub struct SlimConfig {
     /// Whether the dedup-aware redundancy plane is active: container objects
     /// are protected by replicas or XOR parity groups, reads self-heal from
     /// them, and the G-node re-tiers protection each maintenance cycle.
-    #[serde(default = "default_redundancy")]
     pub redundancy: bool,
     /// Number of live global-index entries (authoritative chunk copies) at or
     /// above which a container's data object is protected by a full replica
     /// instead of parity-only. Deduplication concentrates risk in exactly
     /// these containers: many versions depend on their chunks.
-    #[serde(default = "default_redundancy_replica_refs")]
     pub redundancy_replica_refs: u64,
     /// Number of container data objects XOR-ed together into one parity
     /// group (the `k` of k+1 erasure coding; any single member is
     /// reconstructible from the other k-1 plus the parity block).
-    #[serde(default = "default_parity_group_size")]
     pub parity_group_size: usize,
 
     /// Whether chunk payloads are LZ-compressed (per entry, independently)
@@ -90,7 +85,6 @@ pub struct SlimConfig {
     /// invariant under this knob; only stored/transferred bytes shrink.
     /// G-node rewrites recompress (or decompress) as they rewrite, so
     /// flipping the knob converges existing repositories over time.
-    #[serde(default = "default_compression")]
     pub compression: bool,
 
     /// Thread budget for the pipelined parallel backup plane, *per backup
@@ -99,7 +93,6 @@ pub struct SlimConfig {
     /// and async-upload stages (one feeder + one uploader + the remainder
     /// as fingerprint workers). Output is byte-identical to the sequential
     /// path — only wall-clock and pipeline telemetry differ.
-    #[serde(default = "default_backup_pipeline_threads")]
     pub backup_pipeline_threads: usize,
 
     /// Whether idempotent reads (GET / range GET / HEAD and their batched
@@ -109,53 +102,18 @@ pub struct SlimConfig {
     /// store exposes more than one endpoint (`oss_endpoints >= 2`); with a
     /// single endpoint the plane is a pass-through that still scores
     /// endpoint health.
-    #[serde(default = "default_hedged_reads")]
     pub hedged_reads: bool,
     /// Number of simulated OSS endpoints (independent request-routing
     /// targets) the internally built store spreads requests over. Hedging
     /// and the per-endpoint circuit breakers need at least 2 to have an
     /// alternative to route to. Ignored for externally attached stores.
-    #[serde(default = "default_oss_endpoints")]
     pub oss_endpoints: usize,
     /// Attempt budget of the retry wrapper the builder wires outermost
     /// around the store stack. `0` (the default) wires no retry layer —
     /// fault-handling stays exactly where each caller put it; `>= 1` wraps
     /// the stack in a `RetryingStore` with this many attempts and a
     /// per-wrapper salted jitter seed.
-    #[serde(default = "default_retry_attempts")]
     pub retry_attempts: u32,
-}
-
-fn default_redundancy() -> bool {
-    true
-}
-
-fn default_redundancy_replica_refs() -> u64 {
-    64
-}
-
-fn default_parity_group_size() -> usize {
-    4
-}
-
-fn default_compression() -> bool {
-    true
-}
-
-fn default_backup_pipeline_threads() -> usize {
-    4
-}
-
-fn default_hedged_reads() -> bool {
-    true
-}
-
-fn default_oss_endpoints() -> usize {
-    4
-}
-
-fn default_retry_attempts() -> u32 {
-    0
 }
 
 impl Default for SlimConfig {
@@ -183,9 +141,9 @@ impl Default for SlimConfig {
             redundancy_replica_refs: 64,
             parity_group_size: 4,
             compression: true,
-            backup_pipeline_threads: default_backup_pipeline_threads(),
+            backup_pipeline_threads: 4,
             hedged_reads: true,
-            oss_endpoints: default_oss_endpoints(),
+            oss_endpoints: 4,
             retry_attempts: 0,
         }
     }
@@ -455,31 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_threads_default_fills_in_for_old_configs() {
-        // Configs serialized before the pipeline existed must deserialize
-        // with the production default rather than failing.
-        let mut json: serde_json::Value =
-            serde_json::to_value(SlimConfig::small_for_tests()).unwrap();
-        json.as_object_mut()
-            .unwrap()
-            .remove("backup_pipeline_threads");
-        let cfg: SlimConfig = serde_json::from_value(json).unwrap();
-        assert_eq!(cfg.backup_pipeline_threads, 4);
-    }
-
-    #[test]
-    fn compression_default_fills_in_for_old_configs() {
-        // Configs serialized before the compression plane existed must
-        // deserialize with it enabled (the production default).
-        let mut json: serde_json::Value =
-            serde_json::to_value(SlimConfig::small_for_tests().with_compression(false)).unwrap();
-        json.as_object_mut().unwrap().remove("compression");
-        let cfg: SlimConfig = serde_json::from_value(json).unwrap();
-        assert!(cfg.compression);
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn rejects_bad_resilience_knobs() {
         let cfg = SlimConfig::default().with_oss_endpoints(0);
         assert!(cfg.validate().is_err());
@@ -493,22 +426,6 @@ mod tests {
             .with_hedged_reads(false)
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn resilience_defaults_fill_in_for_old_configs() {
-        // Configs serialized before the resilience plane existed must
-        // deserialize with its production defaults.
-        let mut json: serde_json::Value =
-            serde_json::to_value(SlimConfig::small_for_tests()).unwrap();
-        let obj = json.as_object_mut().unwrap();
-        obj.remove("hedged_reads");
-        obj.remove("oss_endpoints");
-        obj.remove("retry_attempts");
-        let cfg: SlimConfig = serde_json::from_value(json).unwrap();
-        assert!(cfg.hedged_reads);
-        assert_eq!(cfg.oss_endpoints, 4);
-        assert_eq!(cfg.retry_attempts, 0);
     }
 
     #[test]

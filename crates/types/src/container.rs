@@ -28,8 +28,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Reader, Writer};
 use crate::compress;
 use crate::error::{Result, SlimError};
@@ -39,7 +37,7 @@ use crate::fingerprint::Fingerprint;
 ///
 /// Monotonicity matters: reverse deduplication keeps the copy in the
 /// *newer* container (larger id) and deletes the copy in the older one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(pub u64);
 
 impl fmt::Display for ContainerId {
@@ -49,7 +47,7 @@ impl fmt::Display for ContainerId {
 }
 
 /// Metadata for one chunk stored in a container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerEntry {
     /// Fingerprint of the chunk (always of the *raw* payload).
     pub fp: Fingerprint,
@@ -123,7 +121,7 @@ const META_VERSION_V1: u8 = 1;
 const META_VERSION: u8 = 2;
 
 /// Metadata of one container.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContainerMeta {
     /// The container this metadata describes.
     pub id: ContainerId,
@@ -263,8 +261,9 @@ impl ContainerMeta {
         }
         let id = ContainerId(r.u64()?);
         let data_len = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
+        // A v1 entry (no raw_len) is the shorter of the two layouts.
+        let n = r.count(20 + 4 + 4 + 1)?;
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let fp = r.fingerprint()?;
             let offset = r.u32()?;
@@ -520,6 +519,7 @@ fn compress_entries(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::bytes as noise;
 
     fn fp(b: u8) -> Fingerprint {
         Fingerprint::from_slice(&[b; 20]).unwrap()
@@ -573,13 +573,6 @@ mod tests {
         assert_eq!(data.len() as u32, meta.data_len);
         let back = e.payload_from(&data).unwrap();
         assert_eq!(&back[..], &payload[..]);
-    }
-
-    fn noise(seed: u64, len: usize) -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut payload = vec![0u8; len];
-        rand::rngs::StdRng::seed_from_u64(seed).fill_bytes(&mut payload);
-        payload
     }
 
     #[test]

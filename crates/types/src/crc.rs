@@ -156,15 +156,7 @@ mod tests {
     }
 
     fn noise(len: usize) -> Vec<u8> {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 32) as u8
-            })
-            .collect()
+        crate::rng::bytes(7, len)
     }
 
     #[test]

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Length in bytes of a fingerprint (SHA-1 digest size).
 pub const FINGERPRINT_LEN: usize = 20;
 
@@ -18,7 +16,7 @@ pub const FINGERPRINT_LEN: usize = 20;
 /// runs. The first eight bytes are used as a well-mixed 64-bit prefix for
 /// sampling and bloom-filter hashing (SHA-1 output is uniform, so any fixed
 /// prefix is unbiased).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub [u8; FINGERPRINT_LEN]);
 
 impl Fingerprint {

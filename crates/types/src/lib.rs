@@ -33,6 +33,7 @@ pub mod fingerprint;
 pub mod layout;
 pub mod recipe;
 pub mod redundancy;
+pub mod rng;
 pub mod version;
 
 pub use bloom::{BloomFilter, CountingBloomFilter};

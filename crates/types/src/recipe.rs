@@ -11,8 +11,6 @@
 //! The [`RecipeIndex`] maps each segment's representative (sampled)
 //! fingerprints to that segment's byte span, exactly as described in §III-B.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chunk::ChunkRecord;
 use crate::codec::{Reader, Writer};
 use crate::error::{Result, SlimError};
@@ -23,9 +21,13 @@ const RECIPE_VERSION: u8 = 1;
 const SEGMENT_MAGIC: &[u8; 4] = b"SLSG";
 const INDEX_MAGIC: &[u8; 4] = b"SLRI";
 const INDEX_VERSION: u8 = 1;
+/// A segment block is at least its magic and record count.
+const SEGMENT_BLOCK_MIN_LEN: usize = 4 + 4;
+/// Fixed encoding of a [`RecipeIndexEntry`]: fp, segment idx, span.
+const INDEX_ENTRY_LEN: usize = 20 + 4 + 8 + 8;
 
 /// The records of one segment of a backup file.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SegmentRecipe {
     /// Chunk records in logical (file) order.
     pub records: Vec<ChunkRecord>,
@@ -60,7 +62,7 @@ impl SegmentRecipe {
         if magic != u32::from_le_bytes(*SEGMENT_MAGIC) {
             return Err(SlimError::corrupt("segment recipe", "bad segment magic"));
         }
-        let n = r.u32()? as usize;
+        let n = r.count(ChunkRecord::MIN_ENCODED_LEN)?;
         let mut records = Vec::with_capacity(n);
         for _ in 0..n {
             records.push(ChunkRecord::decode(&mut r)?);
@@ -71,7 +73,7 @@ impl SegmentRecipe {
 }
 
 /// Byte span of one encoded segment block within a recipe object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentSpan {
     /// Offset of the block within the recipe object.
     pub offset: u64,
@@ -80,7 +82,7 @@ pub struct SegmentSpan {
 }
 
 /// The full recipe of one backup file version.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Recipe {
     /// Segment recipes in logical order.
     pub segments: Vec<SegmentRecipe>,
@@ -139,7 +141,7 @@ impl Recipe {
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf, "recipe");
         r.expect_header(RECIPE_MAGIC, RECIPE_VERSION)?;
-        let n = r.u32()? as usize;
+        let n = r.count(SEGMENT_BLOCK_MIN_LEN)?;
         drop(r);
         let mut segments = Vec::with_capacity(n);
         // Re-walk the blocks: each block is self-delimiting, so decode
@@ -172,7 +174,7 @@ fn decode_block_at(buf: &[u8], pos: usize) -> Result<(SegmentRecipe, usize)> {
     if magic != u32::from_le_bytes(*SEGMENT_MAGIC) {
         return Err(SlimError::corrupt("recipe", "bad segment magic in stream"));
     }
-    let n = r.u32()? as usize;
+    let n = r.count(ChunkRecord::MIN_ENCODED_LEN)?;
     let mut records = Vec::with_capacity(n);
     for _ in 0..n {
         records.push(ChunkRecord::decode(&mut r)?);
@@ -183,7 +185,7 @@ fn decode_block_at(buf: &[u8], pos: usize) -> Result<(SegmentRecipe, usize)> {
 
 /// One entry of a recipe index: a representative fingerprint of a segment
 /// mapped to the byte span of that segment's recipe block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecipeIndexEntry {
     /// Sampled representative fingerprint.
     pub sample_fp: Fingerprint,
@@ -198,7 +200,7 @@ pub struct RecipeIndexEntry {
 /// Built at backup time from the sampled fingerprints of each segment; used
 /// by the next version's dedup job to locate similar segment recipes with a
 /// single lookup plus one OSS range read.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecipeIndex {
     /// All sampled entries, in segment order.
     pub entries: Vec<RecipeIndexEntry>,
@@ -279,7 +281,7 @@ impl RecipeIndex {
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf, "recipe index");
         r.expect_header(INDEX_MAGIC, INDEX_VERSION)?;
-        let n = r.u32()? as usize;
+        let n = r.count(INDEX_ENTRY_LEN)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             entries.push(RecipeIndexEntry {

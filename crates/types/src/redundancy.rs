@@ -66,7 +66,7 @@ impl ParityGroup {
         let mut r = Reader::new(&payload, "parity group manifest");
         r.expect_header(GROUP_MAGIC, GROUP_VERSION)?;
         let id = r.u64()?;
-        let count = r.u32()? as usize;
+        let count = r.count(4 + 8)?;
         let mut members = Vec::with_capacity(count);
         for _ in 0..count {
             let key = r.string()?;

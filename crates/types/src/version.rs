@@ -8,14 +8,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Reader, Writer};
 use crate::container::ContainerId;
 use crate::error::Result;
 
 /// Identifier of one backup version (monotonically increasing per user).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VersionId(pub u64);
 
 impl fmt::Display for VersionId {
@@ -32,7 +30,7 @@ impl VersionId {
 }
 
 /// Identifier of a backup file: its user-visible path.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub String);
 
 impl FileId {
@@ -54,7 +52,7 @@ impl fmt::Display for FileId {
 }
 
 /// Per-file outcome of a backup job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileBackupInfo {
     /// Which file.
     pub file: FileId,
@@ -73,7 +71,7 @@ pub struct FileBackupInfo {
 }
 
 /// The manifest of one backup version.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VersionManifest {
     /// Version number.
     pub version: u64,
@@ -160,7 +158,8 @@ impl VersionManifest {
         let mut r = Reader::new(buf, "version manifest");
         r.expect_header(MANIFEST_MAGIC, MANIFEST_VERSION)?;
         let version = r.u64()?;
-        let nf = r.u32()? as usize;
+        // Three empty strings and four u64s at the least.
+        let nf = r.count(3 * 4 + 4 * 8)?;
         let mut files = Vec::with_capacity(nf);
         for _ in 0..nf {
             files.push(FileBackupInfo {
@@ -173,12 +172,12 @@ impl VersionManifest {
                 duplicate_count: r.u64()?,
             });
         }
-        let nc = r.u32()? as usize;
+        let nc = r.count(8)?;
         let mut new_containers = Vec::with_capacity(nc);
         for _ in 0..nc {
             new_containers.push(ContainerId(r.u64()?));
         }
-        let ng = r.u32()? as usize;
+        let ng = r.count(8)?;
         let mut garbage_on_delete = Vec::with_capacity(ng);
         for _ in 0..ng {
             garbage_on_delete.push(ContainerId(r.u64()?));

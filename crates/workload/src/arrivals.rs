@@ -16,8 +16,7 @@
 
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use slim_types::rng::Rng;
 
 /// A seeded open-loop Poisson arrival process: an infinite iterator of
 /// absolute arrival times (offsets from the experiment's origin), strictly
@@ -27,7 +26,7 @@ use rand::{Rng, SeedableRng};
 pub struct PoissonArrivals {
     rate_per_sec: f64,
     next: Duration,
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl PoissonArrivals {
@@ -45,7 +44,7 @@ impl PoissonArrivals {
         PoissonArrivals {
             rate_per_sec,
             next: Duration::ZERO,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
         }
     }
 
@@ -70,7 +69,7 @@ impl PoissonArrivals {
     fn next_arrival(&mut self) -> Duration {
         // Inverse-CDF sampling of Exp(rate): gap = -ln(1 - u) / rate with
         // u uniform in [0, 1). `1 - u` is never zero, so ln is finite.
-        let u: f64 = self.rng.gen();
+        let u = self.rng.unit_f64();
         let gap = -(1.0 - u).ln() / self.rate_per_sec;
         self.next += Duration::from_secs_f64(gap);
         self.next

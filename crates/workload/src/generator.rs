@@ -15,9 +15,7 @@
 //! identical chunk runs *within* one version stream (§V-A's self-reference
 //! fragments).
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use slim_types::bloom::mix64;
+use slim_types::rng::{mix64, Rng};
 use slim_types::FileId;
 
 /// Configuration of one synthetic dataset.
@@ -113,7 +111,7 @@ struct BlockRef {
 
 impl BlockRef {
     fn materialize(&self, out: &mut Vec<u8>) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = Rng::seed_from_u64(self.seed);
         let start = out.len();
         out.resize(start + self.len as usize, 0);
         rng.fill_bytes(&mut out[start..]);
@@ -184,10 +182,10 @@ impl Workload {
     /// mutation history from version 0.
     fn blocks_at(&self, idx: usize, version: usize) -> Vec<BlockRef> {
         let fseed = self.file_seed(idx);
-        let mut rng = StdRng::seed_from_u64(fseed);
+        let mut rng = Rng::seed_from_u64(fseed);
         let mut blocks: Vec<BlockRef> = Vec::with_capacity(self.config.blocks_per_file);
         let mut next_block_seq: u64 = 0;
-        let new_block = |rng: &mut StdRng, blocks: &[BlockRef], seq: &mut u64| -> BlockRef {
+        let new_block = |rng: &mut Rng, blocks: &[BlockRef], seq: &mut u64| -> BlockRef {
             // Self-reference: reuse an earlier block's seed.
             if !blocks.is_empty() && rng.gen_bool(self.config.self_ref_rate) {
                 let src = blocks[rng.gen_range(0..blocks.len())];
@@ -206,19 +204,19 @@ impl Workload {
         }
         let dup_ratio = self.file_dup_ratio(idx);
         for v in 1..=version {
-            let mut vrng = StdRng::seed_from_u64(mix64(fseed ^ mix64(v as u64) ^ 0xBEEF));
+            let mut vrng = Rng::seed_from_u64(mix64(fseed ^ mix64(v as u64) ^ 0xBEEF));
             let total_bytes: u64 = blocks.iter().map(|b| b.len as u64).sum();
             let change_bytes = ((1.0 - dup_ratio) * total_bytes as f64) as u64;
             let mut changed: u64 = 0;
             // Every mutation lands inside the hot prefix; the cold tail is
             // byte-stable across versions.
             let hot = self.config.hot_fraction.clamp(0.0, 1.0);
-            let skewed = |rng: &mut StdRng, len: usize| -> usize {
+            let skewed = |rng: &mut Rng, len: usize| -> usize {
                 let hot_len = ((len as f64) * hot).ceil().max(1.0) as usize;
                 rng.gen_range(0..hot_len.min(len.max(1)))
             };
             while changed < change_bytes && !blocks.is_empty() {
-                let op = vrng.gen_range(0..10);
+                let op = vrng.gen_range(0..10u8);
                 match op {
                     0 => {
                         // insert: new content, shifts the tail

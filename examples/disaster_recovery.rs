@@ -26,13 +26,7 @@ fn main() -> slim_types::Result<()> {
         .build()?;
 
     let file = FileId::new("vm/disk.img");
-    let mut image = {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
-        let mut buf = vec![0u8; 24 * 1024 * 1024];
-        rng.fill_bytes(&mut buf);
-        buf
-    };
+    let mut image = slim_types::rng::bytes(2026, 24 * 1024 * 1024);
 
     let generations = 10u64;
     let mut history = Vec::new();

@@ -14,16 +14,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use slim_oss::{FaultPlan, MetricsSnapshot, NetworkModel, ObjectStore, Oss};
+use slim_types::rng::bytes as data;
 use slim_types::{FileId, SlimConfig};
 use slimstore::SlimStore;
-
-fn data(seed: u64, len: usize) -> Vec<u8> {
-    use rand::{RngCore, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
-}
 
 /// Compare two traffic snapshots ignoring the time fields: batching changes
 /// when requests run, never how many there are or what they carry.

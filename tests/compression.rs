@@ -30,7 +30,6 @@ use slimstore::{SlimStore, SlimStoreBuilder};
 /// bytes (deliberately incompressible), so this suite brings its own
 /// corpus with realistic redundancy.
 fn text(seed: u64, len: usize) -> Vec<u8> {
-    use rand::{Rng, SeedableRng};
     const WORDS: [&str; 12] = [
         "container",
         "chunk",
@@ -45,12 +44,12 @@ fn text(seed: u64, len: usize) -> Vec<u8> {
         "slimstore",
         "object",
     ];
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = slim_types::rng::Rng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(len + 16);
     while out.len() < len {
         out.extend_from_slice(WORDS[rng.gen_range(0..WORDS.len())].as_bytes());
         out.push(b' ');
-        if rng.gen_ratio(1, 40) {
+        if rng.gen_range(0..40) == 0 {
             out.push(b'\n');
         }
     }

@@ -7,18 +7,11 @@ use std::sync::Arc;
 
 use slim_oss::rocks::RocksConfig;
 use slim_oss::Oss;
+use slim_types::rng::bytes as data;
 use slim_types::{FileId, SlimConfig, VersionId};
 use slimstore::{SlimStore, SlimStoreBuilder};
 use slimstore_repro::index::SimilarFileIndex;
 use slimstore_repro::lnode::{LNode, StorageLayer};
-
-fn data(seed: u64, len: usize) -> Vec<u8> {
-    use rand::{RngCore, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
-}
 
 fn store() -> SlimStore {
     SlimStoreBuilder::in_memory()

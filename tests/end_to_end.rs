@@ -253,11 +253,10 @@ fn failed_file_job_fails_the_version_and_retry_succeeds() {
         .unwrap();
     let files: Vec<(FileId, Vec<u8>)> = (0..4u64)
         .map(|i| {
-            use rand::{RngCore, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(70 + i);
-            let mut d = vec![0u8; 8000];
-            rng.fill_bytes(&mut d);
-            (FileId::new(format!("f{i}")), d)
+            (
+                FileId::new(format!("f{i}")),
+                slim_types::rng::bytes(70 + i, 8000),
+            )
         })
         .collect();
     // Fail one container write mid-version: the whole version errors.

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use slim_oss::rocks::RocksConfig;
 use slim_oss::{CorruptionKind, FaultPlan, ObjectStore, Oss, RetryPolicy, RetryingStore};
+use slim_types::rng::bytes as data;
 use slim_types::{FileId, SlimConfig, SlimError, VersionId};
 use slimstore::{SlimStore, SlimStoreBuilder};
 use slimstore_repro::chunking::{ChunkSpec, FastCdcChunker};
@@ -20,14 +21,6 @@ use slimstore_repro::index::SimilarFileIndex;
 use slimstore_repro::lnode::backup::BackupPipeline;
 use slimstore_repro::lnode::restore::{RestoreEngine, RestoreOptions};
 use slimstore_repro::lnode::StorageLayer;
-
-fn data(seed: u64, len: usize) -> Vec<u8> {
-    use rand::{RngCore, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
-}
 
 struct Env {
     oss: Oss,

@@ -14,17 +14,10 @@ use std::time::Duration;
 use slim_frontend::{FrontendBuilder, FrontendConfig, ManualClock, Request, TenantPolicy};
 use slim_oss::rocks::RocksConfig;
 use slim_oss::{FaultPlan, ObjectStore, Oss, RetryPolicy, RetryingStore};
+use slim_types::rng::bytes as data;
 use slim_types::{FileId, SlimConfig, SlimError, VersionId};
 use slim_workload::PoissonArrivals;
 use slimstore::{SlimStoreBuilder, TenantStoreManager};
-
-fn data(seed: u64, len: usize) -> Vec<u8> {
-    use rand::{RngCore, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
-}
 
 fn manager_over(base: Arc<dyn ObjectStore>) -> Arc<TenantStoreManager> {
     Arc::new(

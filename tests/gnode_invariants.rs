@@ -1,4 +1,5 @@
-//! Property tests of the G-node's safety invariants: no sequence of backups,
+//! Property tests (seeded generator loops, `slim_types::rng::cases`) of the
+//! G-node's safety invariants: no sequence of backups,
 //! offline cycles, vacuums and FIFO collections may break the restorability
 //! of any retained version, and the global index must always resolve every
 //! live recipe record.
@@ -6,9 +7,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use slim_oss::rocks::RocksConfig;
 use slim_oss::{FaultPlan, ObjectStore, Oss};
+use slim_types::rng::{cases, Rng};
 use slim_types::{ContainerId, FileId, SlimConfig, VersionId};
 use slimstore::{SlimStore, SlimStoreBuilder};
 
@@ -26,20 +27,26 @@ enum Op {
     CollectOldest,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0..3usize, any::<usize>(), 16..600usize)
-            .prop_map(|(which, at, len)| Op::Mutate { which, at, len }),
-        3 => Just(Op::Backup),
-        2 => Just(Op::GnodeCycle),
-        1 => Just(Op::Vacuum),
-        1 => Just(Op::CollectOldest),
-    ]
+/// Weighted 3 : 3 : 2 : 1 : 1.
+fn gen_op(rng: &mut Rng) -> Op {
+    match rng.gen_range(0..10) {
+        0..=2 => Op::Mutate {
+            which: rng.gen_range(0..3),
+            at: rng.next_u64() as usize,
+            len: rng.gen_range(16..600),
+        },
+        3..=5 => Op::Backup,
+        6..=7 => Op::GnodeCycle,
+        8 => Op::Vacuum,
+        _ => Op::CollectOldest,
+    }
 }
 
+/// Version history expected to be restorable, keyed by version id.
+type Retained = Vec<(VersionId, Vec<(FileId, Vec<u8>)>)>;
+
 fn base_files() -> Vec<(FileId, Vec<u8>)> {
-    use rand::{RngCore, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    let mut rng = Rng::seed_from_u64(99);
     (0..3)
         .map(|i| {
             let mut data = vec![0u8; 6000 + i * 2000];
@@ -67,7 +74,7 @@ fn store_over(oss: Arc<dyn ObjectStore>) -> SlimStore {
 }
 
 /// Every container the global index references must exist on OSS.
-fn assert_no_dangle(store: &SlimStore) -> std::result::Result<(), TestCaseError> {
+fn assert_no_dangle(store: &SlimStore) {
     let existing: HashSet<ContainerId> = store.storage().list_containers().into_iter().collect();
     for c in store
         .gnode()
@@ -75,17 +82,16 @@ fn assert_no_dangle(store: &SlimStore) -> std::result::Result<(), TestCaseError>
         .referenced_containers()
         .unwrap()
     {
-        prop_assert!(
+        assert!(
             existing.contains(&c),
             "global index references deleted container {c}"
         );
     }
-    Ok(())
 }
 
 /// Every container on OSS must be referenced by the global index or be
 /// reachable from a retained version's manifest/recipes.
-fn assert_no_leak(store: &SlimStore) -> std::result::Result<(), TestCaseError> {
+fn assert_no_leak(store: &SlimStore) {
     let mut reachable: HashSet<ContainerId> = store
         .gnode()
         .global_index()
@@ -101,23 +107,20 @@ fn assert_no_leak(store: &SlimStore) -> std::result::Result<(), TestCaseError> {
         }
     }
     for c in store.storage().list_containers() {
-        prop_assert!(
+        assert!(
             reachable.contains(&c),
             "container {c} is unreferenced by both index and manifests"
         );
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn retained_versions_always_restore(ops in proptest::collection::vec(op_strategy(), 1..14)) {
+#[test]
+fn retained_versions_always_restore() {
+    cases(16, 0x6A0D_0001, |rng| {
+        let ops: Vec<Op> = (0..rng.gen_range(1..14)).map(|_| gen_op(rng)).collect();
         let store = store();
         let mut files = base_files();
-        // Version history we expect to be restorable, keyed by version id.
-        let mut retained: Vec<(VersionId, Vec<(FileId, Vec<u8>)>)> = Vec::new();
+        let mut retained: Retained = Vec::new();
 
         // Always start with one backup so later ops have something to chew on.
         let r = store.backup_version(files.clone()).unwrap();
@@ -128,7 +131,9 @@ proptest! {
                 Op::Mutate { which, at, len } => {
                     let idx = which % files.len();
                     let data = &mut files[idx].1;
-                    if data.is_empty() { continue; }
+                    if data.is_empty() {
+                        continue;
+                    }
                     let at = at % data.len();
                     let end = (at + len).min(data.len());
                     for b in &mut data[at..end] {
@@ -184,7 +189,7 @@ proptest! {
                         .and_then(|c| store.storage().get_container_meta(c).ok().map(|m| (c, m)))
                         .map(|(_, m)| m.find_live(&rec.fp).is_some())
                         .unwrap_or(false);
-                    prop_assert!(
+                    assert!(
                         relocated,
                         "record {} of {} at {} resolves nowhere",
                         rec.fp.short_hex(),
@@ -194,18 +199,21 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    /// Kill the offline cycle at an arbitrary OSS operation, recover, and
-    /// re-run it to completion: the global index must never reference a
-    /// deleted container (no dangle), every surviving container must be
-    /// referenced by the index or a manifest once orphans are scrubbed (no
-    /// leak), and every version must restore byte-identically throughout.
-    #[test]
-    fn killed_and_recovered_cycle_never_dangles_or_leaks(kill_point in 1..400u64) {
+/// Kill the offline cycle at an arbitrary OSS operation, recover, and
+/// re-run it to completion: the global index must never reference a
+/// deleted container (no dangle), every surviving container must be
+/// referenced by the index or a manifest once orphans are scrubbed (no
+/// leak), and every version must restore byte-identically throughout.
+#[test]
+fn killed_and_recovered_cycle_never_dangles_or_leaks() {
+    cases(16, 0x6A0D_0002, |rng| {
+        let kill_point = rng.gen_range(1..400u64);
         let oss = Oss::in_memory();
         let mut files = base_files();
-        let mut retained: Vec<(VersionId, Vec<(FileId, Vec<u8>)>)> = Vec::new();
+        let mut retained: Retained = Vec::new();
         {
             let store = store_over(Arc::new(oss.clone()));
             for round in 0..3u64 {
@@ -232,7 +240,7 @@ proptest! {
 
         // Reopen: the builder replays the intent journal.
         let store = store_over(Arc::new(oss.clone()));
-        assert_no_dangle(&store)?;
+        assert_no_dangle(&store);
         for (v, expected) in &retained {
             store.verify_version(*v, expected).unwrap();
         }
@@ -240,13 +248,13 @@ proptest! {
         // Re-run the interrupted cycle to completion and scrub: the bucket
         // must converge to a stable, fully referenced key set.
         store.run_gnode_cycle(VersionId(2)).unwrap();
-        assert_no_dangle(&store)?;
+        assert_no_dangle(&store);
         store.scrub_orphans().unwrap();
         let again = store.scrub_orphans().unwrap();
-        prop_assert_eq!(again.objects_reclaimed(), 0, "scrub must be idempotent");
-        assert_no_leak(&store)?;
+        assert_eq!(again.objects_reclaimed(), 0, "scrub must be idempotent");
+        assert_no_leak(&store);
         for (v, expected) in &retained {
             store.verify_version(*v, expected).unwrap();
         }
-    }
+    });
 }

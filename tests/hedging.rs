@@ -22,6 +22,7 @@ use slim_oss::{
     BreakerPolicy, BreakerStage, CircuitBreaker, FaultPlan, HedgePolicy, HedgedStore, ObjectStore,
     Oss, RetryPolicy, RetryingStore,
 };
+use slim_types::rng::bytes as data;
 use slim_types::VersionId;
 use slim_types::{Deadline, FileId, SlimConfig, SlimError};
 use slimstore::SlimStoreBuilder;
@@ -30,14 +31,6 @@ use slimstore_repro::index::SimilarFileIndex;
 use slimstore_repro::lnode::backup::BackupPipeline;
 use slimstore_repro::lnode::restore::{RestoreEngine, RestoreOptions};
 use slimstore_repro::lnode::StorageLayer;
-
-fn data(seed: u64, len: usize) -> Vec<u8> {
-    use rand::{RngCore, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
-}
 
 /// A 2-endpoint store warmed so the hedging plane is live from the first
 /// faulted read (low observation bar, no activation floor).
@@ -140,11 +133,8 @@ fn hedged_reads_never_diverge_from_stored_bytes() {
 fn breaker_transitions_replay_deterministically() {
     // The breaker is a pure function of (policy, outcome sequence): two
     // instances fed the same seeded outcome stream walk the same stages.
-    let outcomes: Vec<bool> = {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        (0..400).map(|_| rng.gen_bool(0.55)).collect()
-    };
+    let mut rng = slim_types::rng::Rng::seed_from_u64(77);
+    let outcomes: Vec<bool> = (0..400).map(|_| rng.gen_bool(0.55)).collect();
     let run = |seed: u64| -> Vec<(bool, BreakerStage)> {
         let br = CircuitBreaker::new(
             1,

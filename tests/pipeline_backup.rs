@@ -171,13 +171,7 @@ fn pipelined_kill_point_sweep_commits_or_leaves_reclaimable_orphans_only() {
     let oss = Oss::in_memory();
     let file_a = FileId::new("db/a");
     let file_b = FileId::new("db/b");
-    let data = |seed: u64, len: usize| -> Vec<u8> {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut buf = vec![0u8; len];
-        rng.fill_bytes(&mut buf);
-        buf
-    };
+    let data = slim_types::rng::bytes;
     let da0 = data(80, 24_000);
     let db0 = data(81, 16_000);
     let mut da1 = da0.clone();

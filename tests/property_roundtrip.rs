@@ -1,12 +1,13 @@
-//! Property-based tests of the core invariant:
+//! Property tests (seeded generator loops, `slim_types::rng::cases`) of the
+//! core invariant:
 //! `restore(backup(x)) == x`, for arbitrary content, mutation patterns,
 //! chunker choices, optimization toggles and cache budgets — and the
 //! skip-chunking equivalence guarantee of Fig 5(b).
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use slim_oss::Oss;
+use slim_types::rng::{cases, Rng};
 use slim_types::{FileId, SlimConfig, VersionId};
 use slimstore_repro::chunking::{ChunkSpec, Chunker, FastCdcChunker, RabinChunker};
 use slimstore_repro::index::SimilarFileIndex;
@@ -15,7 +16,7 @@ use slimstore_repro::lnode::restore::{RestoreEngine, RestoreOptions};
 use slimstore_repro::lnode::StorageLayer;
 
 /// A compact description of a multi-version content history: base content
-/// plus per-version edit scripts, all generated by proptest.
+/// plus per-version edit scripts, all drawn from the case's stream.
 #[derive(Debug, Clone)]
 struct History {
     base: Vec<u8>,
@@ -54,28 +55,30 @@ fn apply(data: &mut Vec<u8>, edit: &Edit) {
     }
 }
 
-fn edit_strategy() -> impl Strategy<Value = Edit> {
-    prop_oneof![
-        (
-            any::<usize>(),
-            proptest::collection::vec(any::<u8>(), 1..400)
-        )
-            .prop_map(|(at, bytes)| Edit::Overwrite { at, bytes }),
-        (
-            any::<usize>(),
-            proptest::collection::vec(any::<u8>(), 1..400)
-        )
-            .prop_map(|(at, bytes)| Edit::Insert { at, bytes }),
-        (any::<usize>(), 1..400usize).prop_map(|(at, len)| Edit::Delete { at, len }),
-    ]
+fn gen_edit(rng: &mut Rng) -> Edit {
+    let at = rng.next_u64() as usize;
+    match rng.gen_range(0..3) {
+        0 => Edit::Overwrite {
+            at,
+            bytes: rng.gen_bytes(1..400),
+        },
+        1 => Edit::Insert {
+            at,
+            bytes: rng.gen_bytes(1..400),
+        },
+        _ => Edit::Delete {
+            at,
+            len: rng.gen_range(1..400),
+        },
+    }
 }
 
-fn history_strategy() -> impl Strategy<Value = History> {
-    (
-        proptest::collection::vec(any::<u8>(), 512..8192),
-        proptest::collection::vec(proptest::collection::vec(edit_strategy(), 0..6), 1..4),
-    )
-        .prop_map(|(base, edits)| History { base, edits })
+fn gen_history(rng: &mut Rng) -> History {
+    let base = rng.gen_bytes(512..8192);
+    let edits = (0..rng.gen_range(1..4))
+        .map(|_| (0..rng.gen_range(0..6)).map(|_| gen_edit(rng)).collect())
+        .collect();
+    History { base, edits }
 }
 
 fn versions_of(history: &History) -> Vec<Vec<u8>> {
@@ -95,7 +98,7 @@ fn run_roundtrip(
     chunker: &dyn Chunker,
     cfg: &SlimConfig,
     restore_opts: &RestoreOptions,
-) -> Result<(), TestCaseError> {
+) {
     let storage = StorageLayer::open(Arc::new(Oss::in_memory()));
     let similar = SimilarFileIndex::new();
     let pipeline = BackupPipeline::new(&storage, &similar, chunker, cfg);
@@ -111,39 +114,46 @@ fn run_roundtrip(
         let (restored, _) = engine
             .restore_file(&file, VersionId(v as u64), restore_opts)
             .unwrap();
-        prop_assert_eq!(&restored, expected, "version {} mismatch", v);
+        assert_eq!(&restored, expected, "version {v} mismatch");
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn fastcdc_roundtrip(history in history_strategy()) {
+#[test]
+fn fastcdc_roundtrip() {
+    cases(24, 0x5EED_0001, |rng| {
+        let history = gen_history(rng);
         let cfg = SlimConfig::small_for_tests();
         let chunker = FastCdcChunker::new(ChunkSpec::from_config(&cfg));
-        run_roundtrip(&history, &chunker, &cfg, &RestoreOptions::from_config(&cfg))?;
-    }
+        run_roundtrip(&history, &chunker, &cfg, &RestoreOptions::from_config(&cfg));
+    });
+}
 
-    #[test]
-    fn rabin_roundtrip(history in history_strategy()) {
+#[test]
+fn rabin_roundtrip() {
+    cases(24, 0x5EED_0002, |rng| {
+        let history = gen_history(rng);
         let cfg = SlimConfig::small_for_tests();
         let chunker = RabinChunker::new(ChunkSpec::from_config(&cfg));
-        run_roundtrip(&history, &chunker, &cfg, &RestoreOptions::from_config(&cfg))?;
-    }
+        run_roundtrip(&history, &chunker, &cfg, &RestoreOptions::from_config(&cfg));
+    });
+}
 
-    #[test]
-    fn roundtrip_without_optimizations(history in history_strategy()) {
+#[test]
+fn roundtrip_without_optimizations() {
+    cases(24, 0x5EED_0003, |rng| {
+        let history = gen_history(rng);
         let cfg = SlimConfig::small_for_tests()
             .with_skip_chunking(false)
             .with_chunk_merging(false);
         let chunker = FastCdcChunker::new(ChunkSpec::from_config(&cfg));
-        run_roundtrip(&history, &chunker, &cfg, &RestoreOptions::from_config(&cfg))?;
-    }
+        run_roundtrip(&history, &chunker, &cfg, &RestoreOptions::from_config(&cfg));
+    });
+}
 
-    #[test]
-    fn roundtrip_with_starved_restore_cache(history in history_strategy()) {
+#[test]
+fn roundtrip_with_starved_restore_cache() {
+    cases(24, 0x5EED_0004, |rng| {
+        let history = gen_history(rng);
         let cfg = SlimConfig::small_for_tests();
         let chunker = FastCdcChunker::new(ChunkSpec::from_config(&cfg));
         let opts = RestoreOptions {
@@ -152,12 +162,15 @@ proptest! {
             law_window: 3,
             prefetch_threads: 1,
         };
-        run_roundtrip(&history, &chunker, &cfg, &opts)?;
-    }
+        run_roundtrip(&history, &chunker, &cfg, &opts);
+    });
+}
 
-    /// Skip chunking must not change the logical chunk stream (Fig 5(b)).
-    #[test]
-    fn skip_chunking_is_lossless(history in history_strategy()) {
+/// Skip chunking must not change the logical chunk stream (Fig 5(b)).
+#[test]
+fn skip_chunking_is_lossless() {
+    cases(24, 0x5EED_0005, |rng| {
+        let history = gen_history(rng);
         let versions = versions_of(&history);
         let mut streams = Vec::new();
         for skip in [false, true] {
@@ -170,13 +183,18 @@ proptest! {
             let pipeline = BackupPipeline::new(&storage, &similar, &chunker, &cfg);
             let file = FileId::new("prop/skip");
             for (v, data) in versions.iter().enumerate() {
-                pipeline.backup_file(&file, VersionId(v as u64), data).unwrap();
+                pipeline
+                    .backup_file(&file, VersionId(v as u64), data)
+                    .unwrap();
             }
             let last = VersionId(versions.len() as u64 - 1);
             let recipe = storage.get_recipe(&file, last).unwrap();
             let stream: Vec<_> = recipe.records().map(|r| (r.fp, r.size)).collect();
             streams.push(stream);
         }
-        prop_assert_eq!(&streams[0], &streams[1], "skip chunking altered the chunk stream");
-    }
+        assert_eq!(
+            &streams[0], &streams[1],
+            "skip chunking altered the chunk stream"
+        );
+    });
 }

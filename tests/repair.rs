@@ -18,16 +18,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use slim_oss::rocks::RocksConfig;
 use slim_oss::{FaultPlan, ObjectStore, Oss};
+use slim_types::rng::bytes as data;
 use slim_types::{layout, ContainerId, FileId, SlimConfig, VersionId};
 use slimstore::{SlimStore, SlimStoreBuilder};
-
-fn data(seed: u64, len: usize) -> Vec<u8> {
-    use rand::{RngCore, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut buf = vec![0u8; len];
-    rng.fill_bytes(&mut buf);
-    buf
-}
 
 fn store_over(oss: &Oss) -> SlimStore {
     SlimStoreBuilder::in_memory()
@@ -197,6 +190,24 @@ fn offline_repair_reconstructs_quarantined_containers() {
     assert_converged(&store, &oss, &retained, "offline repair");
 }
 
+/// A container whose *meta* object vanished no longer lists itself, and no
+/// restore runs here to read-repair it: the offline sweep alone (after a
+/// restart) must find it through its meta replica and bring it back.
+#[test]
+fn offline_repair_finds_a_container_whose_meta_is_gone() {
+    let oss = Oss::in_memory();
+    let retained = seeded_history(&oss, 3).1;
+    let keys = oss.list(layout::CONTAINER_PREFIX);
+    let victim = keys.iter().find(|k| k.ends_with("/meta")).unwrap();
+    apply_damage(&oss, victim, Damage::Delete);
+
+    let store = store_over(&oss);
+    let (_, repaired) = store.repair().unwrap();
+    assert_eq!(repaired.containers_repaired, 1, "{repaired:?}");
+    assert!(oss.exists(victim).unwrap());
+    assert_converged(&store, &oss, &retained, "deleted meta");
+}
+
 /// Kill the offline repair sweep at every OSS operation in turn. After each
 /// crash, reopening the store (journal replay) and re-running the sweep must
 /// converge: nothing unrepairable, no dangling index entries, all versions
@@ -273,8 +284,7 @@ fn killed_read_repair_never_loses_data() {
 #[test]
 #[ignore = "soak test: run explicitly via -- --ignored"]
 fn soak_random_faults_with_kill_restart_scrub() {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x51e9);
+    let mut rng = slim_types::rng::Rng::seed_from_u64(0x51e9);
     let oss = Oss::in_memory();
     let retained = seeded_history(&oss, 3).1;
     for round in 0..40u32 {

@@ -1,10 +1,11 @@
-//! Property-based tests of the telemetry subsystem, plus the end-to-end
+//! Property tests (seeded generator loops, `slim_types::rng::cases`) of the
+//! telemetry subsystem, plus the end-to-end
 //! acceptance check: after a backup + restore + G-node cycle the system
 //! snapshot reports every pipeline phase, survives a JSON round trip, and
 //! the generic snapshot delta matches the per-backup report.
 
-use proptest::prelude::*;
 use slim_oss::rocks::RocksConfig;
+use slim_types::rng::{cases, Rng};
 use slim_types::{FileId, SlimConfig};
 use slimstore::{SlimStore, SlimStoreBuilder};
 use slimstore_repro::telemetry::{
@@ -38,107 +39,125 @@ fn snapshot_from(
 }
 
 /// Keys drawn from a small alphabet so merges actually collide.
-fn key() -> impl Strategy<Value = String> {
-    prop::sample::select(vec![
-        "oss.get_requests".to_string(),
-        "lnode.0.chunks".to_string(),
-        "lnode.1.span.chunking".to_string(),
-        "gnode.span.scc".to_string(),
-        "retry.retry_bytes".to_string(),
-    ])
+fn key(rng: &mut Rng) -> String {
+    const KEYS: [&str; 5] = [
+        "oss.get_requests",
+        "lnode.0.chunks",
+        "lnode.1.span.chunking",
+        "gnode.span.scc",
+        "retry.retry_bytes",
+    ];
+    KEYS[rng.gen_range(0..KEYS.len())].to_string()
 }
 
 /// Histogram observations bounded so that sums of merged snapshots stay
 /// far from `u64::MAX` (merge adds sums without saturation by design —
 /// values are nanoseconds in practice).
-fn observations() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0..(1u64 << 48), 0..16)
+fn observations(rng: &mut Rng) -> Vec<u64> {
+    (0..rng.gen_range(0..16))
+        .map(|_| rng.gen_range(0..1u64 << 48))
+        .collect()
 }
 
-fn snapshot() -> impl Strategy<Value = TelemetrySnapshot> {
-    (
-        prop::collection::vec((key(), 0..(1u64 << 60)), 0..4),
-        prop::collection::vec((key(), any::<i64>()), 0..4),
-        prop::collection::vec((key(), observations()), 0..3),
-    )
-        .prop_map(|(c, g, h)| snapshot_from(&c, &g, &h))
+fn snapshot(rng: &mut Rng) -> TelemetrySnapshot {
+    let counters: Vec<_> = (0..rng.gen_range(0..4))
+        .map(|_| (key(rng), rng.gen_range(0..1u64 << 60)))
+        .collect();
+    let gauges: Vec<_> = (0..rng.gen_range(0..4))
+        .map(|_| (key(rng), rng.next_u64() as i64))
+        .collect();
+    let histograms: Vec<_> = (0..rng.gen_range(0..3))
+        .map(|_| (key(rng), observations(rng)))
+        .collect();
+    snapshot_from(&counters, &gauges, &histograms)
 }
 
-proptest! {
-    /// Bucketing is monotone: a larger value never lands in a smaller
-    /// bucket, and every value is at most its bucket's ceiling.
-    #[test]
-    fn bucket_assignment_is_monotone(a in any::<u64>(), b in any::<u64>()) {
+/// A `u64` of random magnitude: uniform draws alone would almost never
+/// exercise the low buckets.
+fn any_u64(rng: &mut Rng) -> u64 {
+    rng.next_u64() >> rng.gen_range(0..64u32)
+}
+
+/// Bucketing is monotone: a larger value never lands in a smaller
+/// bucket, and every value is at most its bucket's ceiling.
+#[test]
+fn bucket_assignment_is_monotone() {
+    cases(256, 0x7E1E_0001, |rng| {
+        let (a, b) = (any_u64(rng), any_u64(rng));
         let (lo, hi) = (a.min(b), a.max(b));
-        prop_assert!(bucket_of(lo) <= bucket_of(hi));
-        prop_assert!(bucket_of(lo) < BUCKETS);
-        prop_assert!(bucket_ceiling(bucket_of(lo)) >= lo);
-        prop_assert!(lo == 0 || bucket_ceiling(bucket_of(lo) - 1) < lo);
-    }
+        assert!(bucket_of(lo) <= bucket_of(hi));
+        assert!(bucket_of(lo) < BUCKETS);
+        assert!(bucket_ceiling(bucket_of(lo)) >= lo);
+        assert!(lo == 0 || bucket_ceiling(bucket_of(lo) - 1) < lo);
+    });
+}
 
-    /// Quantiles are monotone in `q` and clamped to the observed range.
-    #[test]
-    fn quantiles_are_monotone(values in prop::collection::vec(any::<u64>(), 1..64)) {
+/// Quantiles are monotone in `q` and clamped to the observed range.
+#[test]
+fn quantiles_are_monotone() {
+    cases(256, 0x7E1E_0002, |rng| {
+        let values: Vec<u64> = (0..rng.gen_range(1..64)).map(|_| any_u64(rng)).collect();
         let h = hist_from(&values);
         let (mut last, steps) = (0u64, 10usize);
         for i in 0..=steps {
             let q = i as f64 / steps as f64;
             let v = h.quantile(q);
-            prop_assert!(v >= last, "quantile({q}) = {v} < {last}");
-            prop_assert!(v >= h.min && v <= h.max);
+            assert!(v >= last, "quantile({q}) = {v} < {last}");
+            assert!(v >= h.min && v <= h.max);
             last = v;
         }
-    }
+    });
+}
 
-    /// Histogram merge is associative and commutative with the empty
-    /// snapshot as identity, so per-node snapshots fold in any order.
-    #[test]
-    fn histogram_merge_is_associative(
-        a in observations(),
-        b in observations(),
-        c in observations(),
-    ) {
+/// Histogram merge is associative and commutative with the empty
+/// snapshot as identity, so per-node snapshots fold in any order.
+#[test]
+fn histogram_merge_is_associative() {
+    cases(256, 0x7E1E_0003, |rng| {
+        let (a, b, c) = (observations(rng), observations(rng), observations(rng));
         let (ha, hb, hc) = (hist_from(&a), hist_from(&b), hist_from(&c));
-        prop_assert_eq!(ha.merge(&hb).merge(&hc), ha.merge(&hb.merge(&hc)));
-        prop_assert_eq!(ha.merge(&hb), hb.merge(&ha));
-        prop_assert_eq!(ha.merge(&HistogramSnapshot::default()), ha.clone());
+        assert_eq!(ha.merge(&hb).merge(&hc), ha.merge(&hb.merge(&hc)));
+        assert_eq!(ha.merge(&hb), hb.merge(&ha));
+        assert_eq!(ha.merge(&HistogramSnapshot::default()), ha.clone());
         // Merging matches recording everything into one histogram.
         let mut all = a.clone();
         all.extend(&b);
-        prop_assert_eq!(ha.merge(&hb), hist_from(&all));
-    }
+        assert_eq!(ha.merge(&hb), hist_from(&all));
+    });
+}
 
-    /// Snapshot merge is associative, and snapshots survive JSON.
-    #[test]
-    fn snapshot_merge_is_associative_and_json_safe(
-        a in snapshot(),
-        b in snapshot(),
-        c in snapshot(),
-    ) {
-        prop_assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
-        prop_assert_eq!(
+/// Snapshot merge is associative, and snapshots survive JSON.
+#[test]
+fn snapshot_merge_is_associative_and_json_safe() {
+    cases(256, 0x7E1E_0004, |rng| {
+        let (a, b, c) = (snapshot(rng), snapshot(rng), snapshot(rng));
+        assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
+        assert_eq!(
             a.merge(&TelemetrySnapshot::default()).counters,
             a.counters.clone()
         );
         let round = TelemetrySnapshot::from_json(&a.to_json()).unwrap();
-        prop_assert_eq!(round, a);
-    }
+        assert_eq!(round, a);
+    });
+}
 
-    /// `since` inverts `merge` for counters and histogram counts (the
-    /// delta algebra the per-backup reports rely on).
-    #[test]
-    fn since_recovers_the_merged_interval(a in snapshot(), b in snapshot()) {
+/// `since` inverts `merge` for counters and histogram counts (the
+/// delta algebra the per-backup reports rely on).
+#[test]
+fn since_recovers_the_merged_interval() {
+    cases(256, 0x7E1E_0005, |rng| {
+        let (a, b) = (snapshot(rng), snapshot(rng));
         let merged = a.merge(&b);
         let delta = merged.since(&a);
         for (k, v) in &b.counters {
-            prop_assert_eq!(delta.counter(k), *v);
+            assert_eq!(delta.counter(k), *v);
         }
         for (k, h) in &b.histograms {
             let d = delta.histogram(k).unwrap();
-            prop_assert_eq!(d.count, h.count);
-            prop_assert_eq!(d.sum, h.sum);
+            assert_eq!(d.count, h.count);
+            assert_eq!(d.sum, h.sum);
         }
-    }
+    });
 }
 
 /// The ISSUE acceptance criterion, end to end over the system facade.
@@ -150,9 +169,7 @@ fn acceptance_full_cycle_telemetry() {
         .build()
         .unwrap();
     let file = FileId::new("acceptance");
-    let input: Vec<u8> = (0..40_000u32)
-        .map(|i| i.wrapping_mul(2_654_435_761) as u8)
-        .collect();
+    let input = slim_types::rng::bytes(1, 40_000);
 
     let before = store.telemetry_snapshot();
     let report = store
