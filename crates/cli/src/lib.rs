@@ -652,18 +652,22 @@ pub fn run(cmd: Command) -> Result<String> {
         Command::Space { repo } => {
             let store = open_repo(&repo, true)?;
             let s = store.space_report()?;
+            let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
             Ok(format!(
-                "containers: {:.1} MiB\n  logical:  {:.1} MiB\n  stored:   {:.1} MiB (ratio {:.2})\nrecipes:    {:.1} MiB\nglobal idx: {:.1} MiB\nredundancy: {:.1} MiB\nquarantine: {:.1} MiB\nother:      {:.1} MiB\ntotal:      {:.1} MiB",
-                s.container_bytes as f64 / (1024.0 * 1024.0),
-                s.container_logical_bytes as f64 / (1024.0 * 1024.0),
-                s.container_stored_payload_bytes as f64 / (1024.0 * 1024.0),
+                "containers: {:.1} MiB\n  logical:  {:.1} MiB\n  stored:   {:.1} MiB (ratio {:.2})\nrecipes:    {:.1} MiB\nglobal idx: {:.1} MiB\nredundancy: {:.1} MiB\n  replicas: {:.1} MiB\n  parity:   {:.1} MiB\n  meta:     {:.1} MiB\nquarantine: {:.1} MiB\nother:      {:.1} MiB\ntotal:      {:.1} MiB",
+                mib(s.container_bytes),
+                mib(s.container_logical_bytes),
+                mib(s.container_stored_payload_bytes),
                 s.compression_ratio(),
-                s.recipe_bytes as f64 / (1024.0 * 1024.0),
-                s.global_index_bytes as f64 / (1024.0 * 1024.0),
-                s.redundancy_bytes as f64 / (1024.0 * 1024.0),
-                s.quarantine_bytes as f64 / (1024.0 * 1024.0),
-                s.other_bytes as f64 / (1024.0 * 1024.0),
-                s.total() as f64 / (1024.0 * 1024.0),
+                mib(s.recipe_bytes),
+                mib(s.global_index_bytes),
+                mib(s.redundancy_bytes),
+                mib(s.redundancy_replica_bytes),
+                mib(s.redundancy_parity_bytes),
+                mib(s.redundancy_meta_replica_bytes),
+                mib(s.quarantine_bytes),
+                mib(s.other_bytes),
+                mib(s.total()),
             ))
         }
     }
@@ -828,6 +832,9 @@ mod tests {
 
         let space = run(Command::Space { repo: repo.clone() }).unwrap();
         assert!(space.contains("total"), "{space}");
+        for share in ["  replicas:", "  parity:", "  meta:"] {
+            assert!(space.contains(share), "{space}");
+        }
         let check = run(Command::Check { repo: repo.clone() }).unwrap();
         assert!(check.starts_with("ok:"), "{check}");
         let diff = run(Command::Diff {

@@ -13,12 +13,13 @@
 //! the marking sound: when version N is swept, every version ≤ N is already
 //! gone, and no version > N references N's garbage.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use slim_index::{GlobalIndex, SimilarFileIndex};
 use slim_lnode::StorageLayer;
 use slim_types::{layout, ContainerId, Result, SlimError, VersionId};
 
+use crate::fanin::{ensure_referenced, recipe_containers};
 use crate::journal::{Intent, Journal};
 
 /// Outcome of sweeping one version.
@@ -32,55 +33,33 @@ pub struct CollectStats {
     pub recipes_deleted: u64,
 }
 
-/// Mark phase: record in version `n`'s manifest the containers it references
-/// that version `n_plus_1` no longer does. Call after `n_plus_1` finishes.
-pub fn mark_unreferenced(storage: &StorageLayer, n: VersionId, n_plus_1: VersionId) -> Result<u64> {
-    let refs_of = |v: VersionId| -> Result<HashSet<ContainerId>> {
-        let manifest = storage.get_manifest(v)?;
-        let mut refs = HashSet::new();
-        for file in &manifest.files {
-            let recipe = storage.get_recipe(&file.file, v)?;
-            refs.extend(recipe.records().map(|r| r.container_id));
-        }
-        Ok(refs)
-    };
-    let old_refs = refs_of(n)?;
-    let new_refs = refs_of(n_plus_1)?;
+/// Mark phase: record in version `n`'s manifest the containers it names
+/// that the next version — whose referenced set is `next_refs`, fresh from
+/// its settle — no longer does. `n`'s own set comes from its manifest (its
+/// recipes were read when *it* was the new version). Call after the next
+/// version is settled.
+pub fn mark_unreferenced(
+    storage: &StorageLayer,
+    n: VersionId,
+    next_refs: &BTreeSet<ContainerId>,
+) -> Result<u64> {
     let mut manifest = storage.get_manifest(n)?;
+    let derived = ensure_referenced(storage, &mut manifest)?;
     let already: HashSet<ContainerId> = manifest.garbage_on_delete.iter().copied().collect();
-    // Ascending ids, not set order: the manifest's bytes must be a function
-    // of the history, not of this process's hash seed.
-    let mut unreferenced: Vec<ContainerId> = old_refs
-        .into_iter()
-        .filter(|c| !new_refs.contains(c) && !already.contains(c))
+    // The set is ascending, so the manifest's bytes are a function of the
+    // history, not of this process's hash seed.
+    let unreferenced: Vec<ContainerId> = manifest
+        .referenced_containers
+        .iter()
+        .filter(|c| !next_refs.contains(c) && !already.contains(c))
+        .copied()
         .collect();
-    unreferenced.sort();
     let marked = unreferenced.len() as u64;
-    if marked > 0 {
+    if marked > 0 || derived {
         manifest.garbage_on_delete.extend(unreferenced);
         storage.put_manifest(&manifest)?;
     }
     Ok(marked)
-}
-
-/// Append compacted sparse containers to a version's garbage list (called by
-/// the G-node after SCC).
-pub fn mark_sparse_garbage(
-    storage: &StorageLayer,
-    version: VersionId,
-    sparse: &[ContainerId],
-) -> Result<()> {
-    if sparse.is_empty() {
-        return Ok(());
-    }
-    let mut manifest = storage.get_manifest(version)?;
-    let already: HashSet<ContainerId> = manifest.garbage_on_delete.iter().copied().collect();
-    for &c in sparse {
-        if !already.contains(&c) {
-            manifest.garbage_on_delete.push(c);
-        }
-    }
-    storage.put_manifest(&manifest)
 }
 
 /// Sweep phase: delete version `v` — its garbage containers, recipes,
@@ -215,10 +194,7 @@ pub fn scrub_orphans(
         let manifest = storage.get_manifest(v)?;
         reachable.extend(manifest.new_containers.iter().copied());
         reachable.extend(manifest.garbage_on_delete.iter().copied());
-        for file in &manifest.files {
-            let recipe = storage.get_recipe(&file.file, v)?;
-            reachable.extend(recipe.records().map(|r| r.container_id));
-        }
+        reachable.extend(recipe_containers(storage, &manifest)?);
     }
     if let Some(global) = global {
         reachable.extend(global.referenced_containers()?);
@@ -337,6 +313,13 @@ mod tests {
             self.storage.put_manifest(&manifest).unwrap();
         }
 
+        /// Mark version `n` against what version `next`'s recipes name.
+        fn mark(&self, n: u64, next: u64) -> u64 {
+            let next = self.storage.get_manifest(VersionId(next)).unwrap();
+            let next_refs = recipe_containers(&self.storage, &next).unwrap();
+            mark_unreferenced(&self.storage, VersionId(n), &next_refs).unwrap()
+        }
+
         fn restore(&self, file: &FileId, version: u64) -> Vec<u8> {
             RestoreEngine::new(&self.storage, Some(&self.global))
                 .restore_file(
@@ -360,7 +343,7 @@ mod tests {
             // invisible.
             let v1 = data(2, 120_000);
             env.backup_version(1, &[(&file, &v1)]);
-            let marked = mark_unreferenced(&env.storage, VersionId(0), VersionId(1)).unwrap();
+            let marked = env.mark(0, 1);
             (env, marked)
         };
         let (env, marked) = marked_history();
@@ -371,8 +354,7 @@ mod tests {
         let manifest = env.storage.get_manifest(VersionId(0)).unwrap();
         assert_eq!(manifest.garbage_on_delete.len() as u64, marked);
         // Marking again adds nothing (idempotent).
-        let again = mark_unreferenced(&env.storage, VersionId(0), VersionId(1)).unwrap();
-        assert_eq!(again, 0);
+        assert_eq!(env.mark(0, 1), 0);
         // The same history writes the same manifest bytes, run after run.
         let (twin, _) = marked_history();
         let key = layout::version_manifest(VersionId(0));
@@ -389,8 +371,7 @@ mod tests {
         let v0 = data(3, 40_000);
         env.backup_version(0, &[(&file, &v0)]);
         env.backup_version(1, &[(&file, &v0)]); // identical: everything shared
-        let marked = mark_unreferenced(&env.storage, VersionId(0), VersionId(1)).unwrap();
-        assert_eq!(marked, 0, "shared containers must not be marked");
+        assert_eq!(env.mark(0, 1), 0, "shared containers must not be marked");
     }
 
     #[test]
@@ -401,7 +382,7 @@ mod tests {
         let v1 = data(5, 40_000);
         env.backup_version(0, &[(&file, &v0)]);
         env.backup_version(1, &[(&file, &v1)]);
-        mark_unreferenced(&env.storage, VersionId(0), VersionId(1)).unwrap();
+        env.mark(0, 1);
         let before = env.storage.container_store_bytes().unwrap();
         let stats = collect(&env, 0).unwrap();
         assert!(stats.containers_deleted > 0);

@@ -20,8 +20,9 @@
 //!   by PUTting the version manifest last, so a job killed mid-backup leaves
 //!   unreachable container/recipe keys; the scrub reclaims them;
 //! * **redundancy & repair** ([`redundancy`]) — a dedup-aware protection
-//!   policy (full replicas for highly-referenced containers, XOR parity
-//!   groups for the rest, metadata always replicated) re-tiered each cycle,
+//!   policy (full replicas for the containers many retained versions lean
+//!   on — version fan-in, [`fanin`] — XOR parity groups for the rest,
+//!   metadata always replicated) re-tiered each cycle,
 //!   plus the [`GNode::repair`] sweep that reconstructs quarantined
 //!   containers from the plane and re-points the global index.
 //!
@@ -35,6 +36,8 @@
 //! schedules after each backup version.
 
 pub mod collect;
+pub mod fanin;
+mod fanout;
 pub mod journal;
 pub mod meta_cache;
 pub mod node;

@@ -25,9 +25,9 @@ use slim_telemetry::{Registry, Scope};
 use slim_types::{layout, ContainerId, Result, SlimConfig, SlimError, VersionId};
 
 use crate::collect::{
-    collect_version, mark_sparse_garbage, mark_unreferenced, scrub_orphans, CollectStats,
-    OrphanScrubStats,
+    collect_version, mark_unreferenced, scrub_orphans, CollectStats, OrphanScrubStats,
 };
+use crate::fanin::{recipe_containers, settle_version};
 use crate::journal::{Intent, Journal};
 use crate::meta_cache::MetaCache;
 use crate::redundancy::{PurgeReport, RedundancyStats, RepairReport};
@@ -96,18 +96,7 @@ impl GNodeCycleStats {
         scope
             .counter("repair.index_entries_restored")
             .add(self.repair.index_entries_restored);
-        scope
-            .counter("redundancy.replicas_written")
-            .add(self.redundancy.replicas_written);
-        scope
-            .counter("redundancy.primaries_read")
-            .add(self.redundancy.primaries_read);
-        scope
-            .counter("redundancy.parity_groups_sealed")
-            .add(self.redundancy.parity_groups_sealed);
-        scope
-            .counter("redundancy.objects_dropped")
-            .add(self.redundancy.objects_dropped);
+        self.redundancy.emit(scope);
     }
 }
 
@@ -152,8 +141,9 @@ pub struct IntegrityReport {
     /// Global-index entries removed because they pointed at quarantined
     /// containers (an honest miss beats a dangling pointer).
     pub index_entries_removed: u64,
-    /// Replica objects that failed their CRC and were dropped (journaled);
-    /// the next re-tier rewrites them from the verified primary.
+    /// Protection copies — replicas and parity blocks — that failed their
+    /// CRC and were dropped (journaled); the next re-tier rewrites them from
+    /// the verified primaries.
     pub replicas_dropped: u64,
 }
 
@@ -240,7 +230,7 @@ impl GNode {
         // 2. Compact the containers this version uses sparsely.
         let stage = self.telemetry.span("scc");
         let files: Vec<_> = manifest.files.iter().map(|f| f.file.clone()).collect();
-        let (scc_stats, sparse_garbage) = compact_sparse_containers(
+        let (scc_stats, sparse_garbage, referenced) = compact_sparse_containers(
             &self.storage,
             &self.global,
             &mut cache,
@@ -253,15 +243,18 @@ impl GNode {
             &mut stats.reverse,
         )?;
         stats.scc = scc_stats;
-        mark_sparse_garbage(&self.storage, version, &sparse_garbage)?;
+        // Settle the version: its recipes are final, so record what they
+        // name.
+        settle_version(&self.storage, version, &sparse_garbage, &referenced)?;
         drop(stage);
 
-        // 3. Mark phase for the previous version, if it still exists.
+        // 3. Mark phase for the previous version, if it still exists: what
+        // it names (from its manifest) and this version no longer does.
         let stage = self.telemetry.span("mark");
         if version.0 > 0 {
             let prev = VersionId(version.0 - 1);
             if self.storage.get_manifest(prev).is_ok() {
-                stats.marked_garbage = mark_unreferenced(&self.storage, prev, version)?;
+                stats.marked_garbage = mark_unreferenced(&self.storage, prev, &referenced)?;
             }
         }
         drop(stage);
@@ -276,12 +269,8 @@ impl GNode {
             stats.repair = crate::redundancy::repair_quarantined(&self.storage, &self.global)?;
             drop(stage);
             let stage = self.telemetry.span("redundancy");
-            stats.redundancy = crate::redundancy::update_redundancy(
-                &self.storage,
-                &self.global,
-                &self.journal,
-                &self.config,
-            )?;
+            stats.redundancy =
+                crate::redundancy::update_redundancy(&self.storage, &self.journal, &self.config)?;
             drop(stage);
         }
 
@@ -515,10 +504,10 @@ impl GNode {
     /// Corrupt containers are quarantined (both objects moved under the
     /// quarantine prefix) and their global-index entries removed, so reads
     /// fail honestly (`ChunkUnresolvable`) instead of returning garbage.
-    /// Replicas under `redundancy/replica/` are CRC-checked too — the
-    /// re-tier trusts a listed data replica without reading it — and a
-    /// rotten one is dropped, so the next re-tier rewrites it from the
-    /// verified primary. This is the heavy half of `slim scrub`;
+    /// Replicas under `redundancy/replica/` and parity blocks under
+    /// `redundancy/parity/` are CRC-checked too — the re-tier trusts a
+    /// listed one without reading it — and a rotten one is dropped, so the
+    /// next re-tier rewrites it from the verified primaries. This is the heavy half of `slim scrub`;
     /// [`GNode::recover`] only verifies what the journal implicates.
     pub fn verify_checksums(&self) -> Result<IntegrityReport> {
         let _stage = self.telemetry.span("verify_checksums");
@@ -548,7 +537,7 @@ impl GNode {
         report.index_entries_removed = self.global.remove_references_to(&doomed)?;
 
         report.replicas_dropped =
-            crate::redundancy::drop_rotten_replicas(self.storage.oss().as_ref(), &self.journal)?;
+            crate::redundancy::drop_rotten_copies(self.storage.oss().as_ref(), &self.journal)?;
 
         let scope = &self.telemetry;
         scope
@@ -598,12 +587,10 @@ impl GNode {
     /// running a full cycle (see [`crate::redundancy::update_redundancy`]).
     pub fn update_redundancy(&self) -> Result<RedundancyStats> {
         let _stage = self.telemetry.span("redundancy");
-        crate::redundancy::update_redundancy(
-            &self.storage,
-            &self.global,
-            &self.journal,
-            &self.config,
-        )
+        let stats =
+            crate::redundancy::update_redundancy(&self.storage, &self.journal, &self.config)?;
+        stats.emit(&self.telemetry);
+        Ok(stats)
     }
 
     /// Split the quarantined containers into `(repairable, lost)` counts by
@@ -727,20 +714,16 @@ impl GNode {
     /// Containers referenced by a version's recipes (diagnostics).
     pub fn referenced_containers(&self, version: VersionId) -> Result<Vec<ContainerId>> {
         let manifest = self.storage.get_manifest(version)?;
-        let mut refs = std::collections::HashSet::new();
-        for file in &manifest.files {
-            let recipe = self.storage.get_recipe(&file.file, version)?;
-            refs.extend(recipe.records().map(|r| r.container_id));
-        }
-        let mut out: Vec<_> = refs.into_iter().collect();
-        out.sort();
-        Ok(out)
+        Ok(recipe_containers(&self.storage, &manifest)?
+            .into_iter()
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reverse_dedup::reverse_dedup;
     use slim_chunking::{ChunkSpec, FastCdcChunker};
     use slim_lnode::backup::BackupPipeline;
     use slim_lnode::restore::{RestoreEngine, RestoreOptions};
@@ -1184,10 +1167,405 @@ mod tests {
         let f = FileId::new("f");
         env.backup_version(0, &[(&f, &data(72, 60_000))]);
         env.gnode.run_cycle(VersionId(0)).unwrap();
+        let before = bucket(&env.oss);
         let again = env.gnode.update_redundancy().unwrap();
         assert_eq!(again.replicas_written, 0, "{again:?}");
         assert_eq!(again.parity_groups_sealed, 0, "{again:?}");
         assert_eq!(again.objects_dropped, 0, "{again:?}");
+        assert_eq!(bucket(&env.oss), before, "a second pass writes nothing");
+    }
+
+    /// Every object of the bucket, bytes included.
+    fn bucket(oss: &Oss) -> Vec<(String, bytes::Bytes)> {
+        oss.list("")
+            .into_iter()
+            .map(|key| {
+                let bytes = oss.get(&key).unwrap();
+                (key, bytes)
+            })
+            .collect()
+    }
+
+    /// Fan-in the slow way: every retained version's recipes, record by
+    /// record.
+    fn recount(env: &Env) -> std::collections::HashMap<ContainerId, u64> {
+        let mut fan_in = std::collections::HashMap::new();
+        for v in env.storage.list_versions() {
+            let mut named = BTreeSet::new();
+            for file in &env.storage.get_manifest(v).unwrap().files {
+                let recipe = env.storage.get_recipe(&file.file, v).unwrap();
+                named.extend(recipe.records().map(|r| r.container_id));
+            }
+            for id in named {
+                *fan_in.entry(id).or_insert(0u64) += 1;
+            }
+        }
+        fan_in
+    }
+
+    /// Versions of one file that keep most of their bytes, so containers
+    /// accumulate fan-in, while a moving window is rewritten each time.
+    fn drifting_versions(seed: u64, versions: usize) -> Vec<Vec<u8>> {
+        let mut cur = data(seed, 60_000);
+        (0..versions)
+            .map(|v| {
+                let at = 4_000 + v * 9_000;
+                cur[at..at + 3_000].copy_from_slice(&data(seed + 100 + v as u64, 3_000));
+                cur.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fan_in_is_a_recount_of_what_the_retained_recipes_name() {
+        use crate::fanin::version_fan_in;
+        let env = setup();
+        let f = FileId::new("f");
+        for (v, content) in drifting_versions(80, 5).iter().enumerate() {
+            env.backup_version(v as u64, &[(&f, content)]);
+            env.gnode.run_cycle(VersionId(v as u64)).unwrap();
+            let fan_in = version_fan_in(&env.storage).unwrap();
+            assert_eq!(fan_in, recount(&env), "after cycle {v}");
+            let max = *fan_in.values().max().unwrap();
+            assert!(max <= v as u64 + 1 && max >= (v as u64 + 1).min(2), "{max}");
+            // The settled manifest carries the set; nothing had to be derived.
+            let settled = env.storage.get_manifest(VersionId(v as u64)).unwrap();
+            assert!(!settled.referenced_containers.is_empty());
+        }
+        // A retention sweep lowers fan-in by deleting manifests: nothing to
+        // decrement, nothing to double-count.
+        env.gnode.collect_version(VersionId(0)).unwrap();
+        env.gnode.collect_version(VersionId(1)).unwrap();
+        let fan_in = version_fan_in(&env.storage).unwrap();
+        assert_eq!(fan_in, recount(&env), "after the sweep");
+        assert!(fan_in.values().all(|&n| n <= 3));
+        // And so does a re-run cycle.
+        env.gnode.run_cycle(VersionId(4)).unwrap();
+        assert_eq!(version_fan_in(&env.storage).unwrap(), recount(&env));
+    }
+
+    #[test]
+    fn fan_in_survives_a_killed_and_rerun_cycle() {
+        use crate::fanin::version_fan_in;
+        use slim_oss::FaultPlan;
+        let contents = drifting_versions(81, 3);
+        let f = FileId::new("f");
+        let mut kill = 1u64;
+        loop {
+            assert!(kill < 2_000, "the cycle never survived the kill sweep");
+            let oss = Oss::in_memory();
+            let env = setup_over(Arc::new(oss.clone()), oss.clone());
+            for (v, content) in contents.iter().enumerate() {
+                env.backup_version(v as u64, &[(&f, content)]);
+                if v < 2 {
+                    env.gnode.run_cycle(VersionId(v as u64)).unwrap();
+                }
+            }
+            oss.inject_fault(FaultPlan::NthOnPrefix {
+                prefix: String::new(),
+                nth: kill,
+            });
+            let survived = env.gnode.run_cycle(VersionId(2)).is_ok();
+            oss.clear_faults();
+            env.gnode.recover().unwrap();
+            env.gnode.run_cycle(VersionId(2)).unwrap();
+            assert_eq!(
+                version_fan_in(&env.storage).unwrap(),
+                recount(&env),
+                "kill point {kill}"
+            );
+            let orphans = parity_blocks_without_a_manifest(&oss);
+            assert_eq!(orphans, Vec::<String>::new(), "kill point {kill}");
+            if survived {
+                break;
+            }
+            kill += 3;
+        }
+    }
+
+    fn parity_blocks_without_a_manifest(oss: &Oss) -> Vec<String> {
+        oss.list(layout::PARITY_DATA_PREFIX)
+            .into_iter()
+            .filter(|key| {
+                let gid = key.strip_prefix(layout::PARITY_DATA_PREFIX).unwrap();
+                !oss.exists(&format!("{}{gid}", layout::PARITY_GROUP_PREFIX))
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn manifests_without_the_set_yield_the_same_tiers() {
+        let contents = drifting_versions(82, 3);
+        let f = FileId::new("f");
+        let history = || {
+            let env = setup();
+            for (v, content) in contents.iter().enumerate() {
+                env.backup_version(v as u64, &[(&f, content)]);
+                env.gnode.run_cycle(VersionId(v as u64)).unwrap();
+            }
+            env
+        };
+        let (settled, legacy) = (history(), history());
+        // What a format-1 manifest decodes to: no set.
+        for v in legacy.storage.list_versions() {
+            let mut manifest = legacy.storage.get_manifest(v).unwrap();
+            manifest.referenced_containers.clear();
+            legacy.storage.put_manifest(&manifest).unwrap();
+        }
+        let want = settled.gnode.update_redundancy().unwrap();
+        assert!(want.replica_tier > 0 && want.parity_tier > 0, "{want:?}");
+        let got = legacy.gnode.update_redundancy().unwrap();
+        assert_eq!(got, want);
+        // The recipes were read once: the sets are back in the manifests.
+        assert_eq!(bucket(&legacy.oss), bucket(&settled.oss));
+    }
+
+    #[test]
+    fn promotion_is_one_way_and_keeps_the_others_seated() {
+        let oss = Oss::in_memory();
+        let reads = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let counting = DataReads {
+            inner: oss.clone(),
+            keys: reads.clone(),
+        };
+        let env = setup_over(Arc::new(counting), oss.clone());
+        let f = FileId::new("f");
+        let contents = drifting_versions(83, 2);
+        env.backup_version(0, &[(&f, &contents[0])]);
+        let first = env.gnode.run_cycle(VersionId(0)).unwrap().redundancy;
+        assert_eq!(first.replica_tier, 0, "fan-in 1 is below the threshold");
+        assert!(first.parity_tier > 4, "{first:?}");
+
+        // The second version names most of the first one's containers:
+        // those cross the threshold of 2 and are copied, each read once.
+        env.backup_version(1, &[(&f, &contents[1])]);
+        reads.lock().clear();
+        let second = env.gnode.run_cycle(VersionId(1)).unwrap().redundancy;
+        assert!(second.promotions > 0, "{second:?}");
+        assert_eq!(second.replica_tier, second.promotions);
+        assert!(second.parity_tier > 0, "{second:?}");
+        // Nobody was regrouped for it: the only groups sealed hold the new
+        // version's containers, and the only data read besides those and the
+        // promoted ones is what the cycle's own stages fetched.
+        assert_eq!(second.groups_resealed, 0, "{second:?}");
+        let replicas = oss
+            .list(layout::REPLICA_PREFIX)
+            .into_iter()
+            .filter(|k| k.ends_with("/data"))
+            .count() as u64;
+        assert_eq!(replicas, second.promotions);
+
+        // The old version goes: fan-in falls back to 1, the replicas stay
+        // (their containers are on the way out, not worth a regroup) and the
+        // pass reads no data object.
+        env.gnode.collect_version(VersionId(0)).unwrap();
+        reads.lock().clear();
+        let after = env.gnode.update_redundancy().unwrap();
+        assert_eq!(after.promotions, 0, "{after:?}");
+        assert_eq!(after.parity_groups_sealed, 0, "{after:?}");
+        let still_live = env
+            .storage
+            .list_containers()
+            .iter()
+            .filter(|&&id| {
+                oss.exists(&layout::replica_key(&layout::container_data(id)))
+                    .unwrap()
+            })
+            .count() as u64;
+        assert_eq!(after.replica_tier, still_live);
+        assert!(after.replica_tier > 0, "{after:?}");
+        let gone: Vec<String> = reads
+            .lock()
+            .iter()
+            .filter(|key| oss.exists(key).unwrap())
+            .cloned()
+            .collect();
+        assert_eq!(gone, Vec::<String>::new(), "no live data object is read");
+    }
+
+    #[test]
+    fn rewritten_container_inherits_the_replica_tier() {
+        let env = setup();
+        // A container that earned a replica ...
+        let old = put_container(&env, &[(1, 300), (2, 300), (3, 300)]);
+        let old_key = layout::container_data(old);
+        env.oss
+            .put(
+                &layout::replica_key(&old_key),
+                env.oss.get(&old_key).unwrap(),
+            )
+            .unwrap();
+        let mut cache = MetaCache::new(env.storage.clone(), 8);
+        let run = |cache: &mut MetaCache, new: &[ContainerId]| {
+            reverse_dedup(
+                &env.gnode.storage,
+                &env.gnode.global,
+                cache,
+                &env.gnode.journal,
+                &env.gnode.config,
+                new,
+            )
+            .unwrap()
+            .0
+        };
+        run(&mut cache, &[old]);
+        // ... loses two of its three chunks to a newer copy and is rewritten.
+        let new = put_container(&env, &[(1, 300), (2, 300)]);
+        let stats = run(&mut cache, &[new]);
+        assert_eq!(stats.containers_rewritten, 1);
+        let heir = env.gnode.global.get(&fp(3)).unwrap().expect("chunk 3");
+        assert_ne!(heir, old);
+        // The successor was handed the tier, byte for byte.
+        let heir_key = layout::container_data(heir);
+        assert_eq!(
+            env.oss.get(&layout::replica_key(&heir_key)).unwrap(),
+            env.oss.get(&heir_key).unwrap()
+        );
+        // The re-tier keeps it there without reading it and drops the old
+        // container's replica; the unreplicated newcomer joins a group.
+        let stats = env.gnode.update_redundancy().unwrap();
+        assert_eq!(stats.replica_tier, 1, "{stats:?}");
+        assert_eq!(stats.promotions, 0, "{stats:?}");
+        assert_eq!(stats.parity_tier, 1, "{stats:?}");
+        assert!(!env.oss.exists(&layout::replica_key(&old_key)).unwrap());
+        assert!(env.oss.exists(&layout::replica_key(&heir_key)).unwrap());
+    }
+
+    #[test]
+    fn orphan_parity_blocks_are_dropped() {
+        use slim_oss::FaultPlan;
+        let env = setup();
+        let f = FileId::new("f");
+        env.backup_version(0, &[(&f, &data(84, 60_000))]);
+        // Kill the first pass between a parity PUT and its manifest PUT.
+        env.oss.inject_fault(FaultPlan::NthOnPrefix {
+            prefix: layout::PARITY_GROUP_PREFIX.into(),
+            nth: 2,
+        });
+        env.gnode.run_cycle(VersionId(0)).unwrap_err();
+        env.oss.clear_faults();
+        let orphans = parity_blocks_without_a_manifest(&env.oss);
+        assert_eq!(orphans.len(), 1, "{orphans:?}");
+        // The rerun seals what is left under fresh ids and drops the block
+        // nothing will ever name.
+        env.gnode.recover().unwrap();
+        let rerun = env.gnode.run_cycle(VersionId(0)).unwrap().redundancy;
+        assert!(rerun.parity_groups_sealed > 0, "{rerun:?}");
+        assert!(rerun.objects_dropped >= 1, "{rerun:?}");
+        assert!(!env.oss.exists(&orphans[0]).unwrap());
+        assert_eq!(
+            parity_blocks_without_a_manifest(&env.oss),
+            Vec::<String>::new()
+        );
+        // Also when the pass that finds one has nothing to seal, which is
+        // when the block used to stay for good.
+        let stray = layout::parity_data(4_000);
+        env.oss
+            .put(&stray, slim_types::crc::seal(&[7u8; 64]))
+            .unwrap();
+        let steady = env.gnode.update_redundancy().unwrap();
+        assert_eq!(steady.parity_groups_sealed, 0, "{steady:?}");
+        assert_eq!(steady.objects_dropped, 1, "{steady:?}");
+        assert!(!env.oss.exists(&stray).unwrap());
+        assert!(env.oss.list(layout::JOURNAL_PREFIX).is_empty());
+    }
+
+    #[test]
+    fn damaged_parity_block_is_dropped_and_its_members_resealed() {
+        let env = setup();
+        let f = FileId::new("f");
+        env.backup_version(0, &[(&f, &data(86, 60_000))]);
+        let built = env.gnode.run_cycle(VersionId(0)).unwrap().redundancy;
+        let containers = env.storage.list_containers().len() as u64;
+        assert_eq!(built.parity_tier, containers, "{built:?}");
+
+        // Rot inside a block: the re-tier trusts what is listed, the scrub
+        // finds it and takes the group's manifest along, the next re-tier
+        // seals the members again.
+        let block = env.oss.list(layout::PARITY_DATA_PREFIX).remove(0);
+        let mut bad = env.oss.get(&block).unwrap().to_vec();
+        bad[9] ^= 0x04;
+        env.oss.put(&block, bytes::Bytes::from(bad)).unwrap();
+        let trusting = env.gnode.update_redundancy().unwrap();
+        assert_eq!(trusting.parity_groups_sealed, 0, "{trusting:?}");
+        let report = env.gnode.verify_checksums().unwrap();
+        assert_eq!(report.replicas_dropped, 1, "{report:?}");
+        assert_eq!(report.containers_quarantined, 0, "{report:?}");
+        assert!(!env.oss.exists(&block).unwrap());
+        let resealed = env.gnode.update_redundancy().unwrap();
+        assert_eq!(resealed.parity_groups_sealed, 1, "{resealed:?}");
+        assert_eq!(resealed.parity_tier, containers, "{resealed:?}");
+
+        // A block that vanished shows in the listing: one pass drops the
+        // manifest that names nothing and seals its members again.
+        let block = env.oss.list(layout::PARITY_DATA_PREFIX).remove(0);
+        env.oss.delete(&block).unwrap();
+        let resealed = env.gnode.update_redundancy().unwrap();
+        assert_eq!(resealed.parity_groups_sealed, 1, "{resealed:?}");
+        assert_eq!(resealed.objects_dropped, 1, "{resealed:?}");
+        assert_eq!(resealed.parity_tier, containers, "{resealed:?}");
+        assert_eq!(
+            env.oss.list(layout::PARITY_DATA_PREFIX).len(),
+            env.oss.list(layout::PARITY_GROUP_PREFIX).len()
+        );
+        assert_eq!(env.gnode.verify_checksums().unwrap().replicas_dropped, 0);
+    }
+
+    #[test]
+    fn invalidated_group_survivors_are_fetched_exactly_once() {
+        let oss = Oss::in_memory();
+        let reads = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let counting = DataReads {
+            inner: oss.clone(),
+            keys: reads.clone(),
+        };
+        let env = setup_over(Arc::new(counting), oss.clone());
+        let f = FileId::new("f");
+        env.backup_version(0, &[(&f, &data(85, 60_000))]);
+        env.gnode.run_cycle(VersionId(0)).unwrap();
+
+        // Collect one member of the first group behind the plane's back.
+        let gkey = oss.list(layout::PARITY_GROUP_PREFIX).remove(0);
+        let group = slim_types::ParityGroup::decode(&oss.get(&gkey).unwrap()).unwrap();
+        assert_eq!(group.members.len(), env.config.parity_group_size);
+        let gone = &group.members[1].key;
+        env.storage
+            .delete_container(layout::parse_container_key(gone).unwrap())
+            .unwrap();
+
+        reads.lock().clear();
+        let stats = env.gnode.update_redundancy().unwrap();
+        assert_eq!(stats.groups_resealed, 1, "{stats:?}");
+        assert_eq!(stats.parity_groups_sealed, 1, "{stats:?}");
+        // One read per survivor serves both "is it damaged?" and the new
+        // parity block; the collected member is probed, not found.
+        let mut seen = reads.lock().clone();
+        seen.sort();
+        let mut want: Vec<String> = group.members.iter().map(|m| m.key.clone()).collect();
+        want.sort();
+        assert_eq!(seen, want);
+        assert!(!oss.exists(&gkey).unwrap(), "the old group is gone");
+        // Every survivor is covered again, by exactly one group.
+        let mut covered: Vec<String> = oss
+            .list(layout::PARITY_GROUP_PREFIX)
+            .iter()
+            .flat_map(|k| {
+                slim_types::ParityGroup::decode(&oss.get(k).unwrap())
+                    .unwrap()
+                    .members
+            })
+            .map(|m| m.key)
+            .collect();
+        covered.sort();
+        let mut live: Vec<String> = env
+            .storage
+            .list_containers()
+            .into_iter()
+            .map(layout::container_data)
+            .collect();
+        live.sort();
+        assert_eq!(covered, live);
     }
 
     /// Passes everything through and records the key of every read (whole
@@ -1278,8 +1656,12 @@ mod tests {
     fn rotten_data_replica_is_left_by_retier_and_renewed_after_scrub() {
         let env = setup();
         let f = FileId::new("f");
-        env.backup_version(0, &[(&f, &data(75, 60_000))]);
-        env.gnode.run_cycle(VersionId(0)).unwrap();
+        // Two versions naming the same containers: fan-in 2, the test
+        // configuration's replica threshold.
+        for v in 0..2 {
+            env.backup_version(v, &[(&f, &data(75, 60_000))]);
+            env.gnode.run_cycle(VersionId(v)).unwrap();
+        }
         let rkey = env
             .oss
             .list(layout::REPLICA_PREFIX)
@@ -1347,7 +1729,7 @@ mod tests {
     #[test]
     fn repair_reconstructs_parity_tier_member_byte_identically() {
         let env = setup();
-        // Three small containers with two references each: well below the
+        // Three small containers no version names: fan-in 0, below any
         // replica threshold, so their data objects land in one parity group.
         let a = put_container(&env, &[(1, 400), (2, 400)]);
         let b = put_container(&env, &[(3, 400), (4, 400)]);

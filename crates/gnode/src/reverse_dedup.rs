@@ -26,7 +26,9 @@ use std::collections::HashMap;
 
 use slim_index::GlobalIndex;
 use slim_lnode::StorageLayer;
-use slim_types::{ContainerBuilder, ContainerId, ContainerMeta, Fingerprint, Result, SlimConfig};
+use slim_types::{
+    crc, layout, ContainerBuilder, ContainerId, ContainerMeta, Fingerprint, Result, SlimConfig,
+};
 
 use crate::journal::{Intent, Journal};
 use crate::meta_cache::MetaCache;
@@ -170,7 +172,10 @@ pub fn reverse_dedup(
 /// 2. per rewrite, a `RewriteContainer` intent, then the survivors are built
 ///    and PUT under a **fresh id** and the global index flips to it (new
 ///    homes are added to `relocations`, for a caller that still has recipes
-///    to repoint);
+///    to repoint). A container that had earned a full replica hands the
+///    tier down: the fresh one's replica is written from the bytes in hand,
+///    because the old versions that lean on these chunks keep naming the
+///    old id and would never lift the new one over the fan-in threshold;
 /// 3. a `DropContainers` intent for the empty ones;
 /// 4. **one** metadata-cache flush and **one** index flush — the caller's
 ///    buffered deletion marks and index flips become durable here too, also
@@ -230,7 +235,12 @@ pub(crate) fn rewrite_containers(
             builder.push(entry.fp, &entry.payload_from(&data)?);
         }
         let (new_data, new_meta) = builder.seal();
-        storage.put_container(new_data, &new_meta)?;
+        storage.put_container(new_data.clone(), &new_meta)?;
+        let oss = storage.oss();
+        if oss.exists(&layout::replica_key(&layout::container_data(*old)))? {
+            let heir = layout::replica_key(&layout::container_data(new_id));
+            oss.put(&heir, crc::seal(&new_data))?;
+        }
         for entry in new_meta.entries.iter() {
             global.relocate(&entry.fp, new_id)?;
             if let Some(relocations) = relocations.as_deref_mut() {

@@ -20,7 +20,7 @@
 //! (reclaimed by the orphan scrub) or an intent that recovery replays, so a
 //! durable deletion mark can never outlive the index flip to the new home.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use slim_index::GlobalIndex;
 use slim_lnode::StorageLayer;
@@ -52,8 +52,10 @@ pub struct SccStats {
 ///
 /// `files` are the files backed up in this version; `new_containers` the
 /// containers the backup itself created (never considered sparse — they *are*
-/// the current locality). Returns the stats and the list of compacted sparse
-/// containers to associate with this version as garbage-on-delete.
+/// the current locality). Returns the stats, the list of compacted sparse
+/// containers to associate with this version as garbage-on-delete, and the
+/// containers the version's recipes name once rewritten — the recipes are in
+/// hand here, so this is the one time they are read.
 #[allow(clippy::too_many_arguments)]
 pub fn compact_sparse_containers(
     storage: &StorageLayer,
@@ -66,7 +68,7 @@ pub fn compact_sparse_containers(
     new_containers: &[ContainerId],
     reverse_relocations: RelocationMap,
     rd_stats: &mut ReverseDedupStats,
-) -> Result<(SccStats, Vec<ContainerId>)> {
+) -> Result<(SccStats, Vec<ContainerId>, BTreeSet<ContainerId>)> {
     let mut stats = SccStats::default();
     let new_set: HashSet<ContainerId> = new_containers.iter().copied().collect();
 
@@ -185,6 +187,7 @@ pub fn compact_sparse_containers(
     }
 
     // Pass 3: rewrite the current version's recipes to the new layout.
+    let mut referenced: BTreeSet<ContainerId> = BTreeSet::new();
     for (file, mut recipe) in recipes {
         let mut changed = false;
         for seg in &mut recipe.segments {
@@ -195,6 +198,7 @@ pub fn compact_sparse_containers(
                         changed = true;
                     }
                 }
+                referenced.insert(rec.container_id);
             }
         }
         if !changed {
@@ -229,7 +233,7 @@ pub fn compact_sparse_containers(
     if let Some(seq) = repoint_seq {
         journal.retire(seq)?;
     }
-    Ok((stats, sparse_sorted))
+    Ok((stats, sparse_sorted, referenced))
 }
 
 #[cfg(test)]
@@ -295,7 +299,7 @@ mod tests {
         ) -> (SccStats, Vec<ContainerId>) {
             let mut cache = MetaCache::new(self.storage.clone(), 64);
             let mut rd = ReverseDedupStats::default();
-            let out = compact_sparse_containers(
+            let (stats, sparse, _) = compact_sparse_containers(
                 &self.storage,
                 &self.global,
                 &mut cache,
@@ -312,7 +316,7 @@ mod tests {
                 self.journal.is_empty(),
                 "a completed SCC pass must retire all of its intents"
             );
-            out
+            (stats, sparse)
         }
     }
 
@@ -484,7 +488,7 @@ mod tests {
         let mut cache = MetaCache::new(storage.clone(), 64);
         let mut rd = ReverseDedupStats::default();
         store.calls.lock().unwrap().clear();
-        let (stats, garbage) = compact_sparse_containers(
+        let (stats, garbage, _) = compact_sparse_containers(
             &storage,
             &global,
             &mut cache,

@@ -180,24 +180,6 @@ impl GlobalIndex {
         Ok(out)
     }
 
-    /// Per-container count of authoritative chunk copies (full scan;
-    /// offline use only). This is the dedup-aware risk measure of the
-    /// redundancy policy: a container with many live index entries holds
-    /// chunks that reverse dedup made the *only* copy for every version
-    /// referencing them, so losing it costs the most.
-    pub fn reference_counts(&self) -> Result<std::collections::HashMap<ContainerId, u64>> {
-        let rows = self.db.scan_prefix(&[])?;
-        let mut out = std::collections::HashMap::new();
-        for (_, value) in &rows {
-            let arr: [u8; 8] = value
-                .as_slice()
-                .try_into()
-                .map_err(|_| slim_types::SlimError::corrupt("global index value", "bad length"))?;
-            *out.entry(ContainerId(u64::from_le_bytes(arr))).or_insert(0) += 1;
-        }
-        Ok(out)
-    }
-
     /// Number of indexed fingerprints (full scan; offline use only).
     pub fn len(&self) -> Result<usize> {
         Ok(self.db.scan_prefix(&[])?.len())
@@ -282,24 +264,6 @@ mod tests {
             .referenced_containers()
             .unwrap()
             .contains(&ContainerId(9)));
-    }
-
-    #[test]
-    fn reference_counts_weigh_entries_per_container() {
-        let oss = Oss::in_memory();
-        let idx = open_index(&oss);
-        assert!(idx.reference_counts().unwrap().is_empty());
-        idx.insert(&fp(1), ContainerId(5)).unwrap();
-        idx.insert(&fp(2), ContainerId(5)).unwrap();
-        idx.insert(&fp(3), ContainerId(9)).unwrap();
-        let counts = idx.reference_counts().unwrap();
-        assert_eq!(counts.get(&ContainerId(5)), Some(&2));
-        assert_eq!(counts.get(&ContainerId(9)), Some(&1));
-        idx.remove(&fp(2)).unwrap();
-        assert_eq!(
-            idx.reference_counts().unwrap().get(&ContainerId(5)),
-            Some(&1)
-        );
     }
 
     #[test]

@@ -156,10 +156,29 @@ pub fn reconstruct_object(
     if let Ok(ObjectState::Intact(buf)) = object_state(store, &layout::quarantine_key(key)) {
         return Ok(Some((buf, RepairSource::Quarantine)));
     }
-    // Parity: scan group manifests for one naming this key. Groups are few
-    // and heals are rare, so the scan is an acceptable cold-path cost.
-    for gkey in store.list(layout::PARITY_GROUP_PREFIX) {
-        let Ok(buf) = store.get_raw(&gkey) else {
+    // Parity groups hold container data only, and a data object that is gone
+    // together with every trace of its container's metadata was collected,
+    // not damaged: old versions' recipes keep naming containers the G-node
+    // has since rewritten, and each of those reads lands here.
+    let Some(id) = layout::parse_container_key(key).filter(|_| key.ends_with("/data")) else {
+        return Ok(None);
+    };
+    let meta = layout::container_meta(id);
+    let traces = [
+        key.to_string(),
+        layout::replica_key(&meta),
+        layout::quarantine_key(&meta),
+        meta,
+    ];
+    if !traces.iter().any(|k| store.exists(k).unwrap_or(true)) {
+        return Ok(None);
+    }
+    // The group manifests in one batch (they are not protected keys, so on
+    // any stack the batch is raw), decoded in id order until one names this
+    // key.
+    let group_keys = store.list(layout::PARITY_GROUP_PREFIX);
+    for buf in store.get_many(&group_keys) {
+        let Ok(buf) = buf else {
             continue;
         };
         let Ok(group) = ParityGroup::decode(&buf) else {
@@ -200,6 +219,9 @@ pub fn reconstruct_object(
         if crc::verified_payload_len(&rebuilt, "reconstructed object").is_ok() {
             return Ok(Some((Bytes::from(rebuilt), RepairSource::Parity)));
         }
+        // A group that names the key and cannot rebuild it: a later group
+        // may name it too (regrouping overlaps the old group until the old
+        // one is dropped).
     }
     Ok(None)
 }
@@ -361,6 +383,14 @@ mod tests {
         layout::container_data(slim_types::ContainerId(n))
     }
 
+    /// A data object under `data_key(n)` beside its container's metadata
+    /// (a data object with no trace of metadata reads as collected).
+    fn put_member(oss: &Oss, n: u64, data: &Bytes) {
+        oss.put(&data_key(n), data.clone()).unwrap();
+        let meta = layout::container_meta(slim_types::ContainerId(n));
+        oss.put(&meta, sealed(0xEE, 16)).unwrap();
+    }
+
     fn store() -> (Oss, RedundantStore) {
         let oss = Oss::in_memory();
         let wrapped = RedundantStore::new(Arc::new(oss.clone()));
@@ -413,8 +443,8 @@ mod tests {
         let members: Vec<(String, Bytes)> = (1..=3)
             .map(|n| (data_key(n), sealed(n as u8, 50 + n as usize * 7)))
             .collect();
-        for (k, b) in &members {
-            oss.put(k, b.clone()).unwrap();
+        for (n, (_, b)) in (1..).zip(&members) {
+            put_member(&oss, n, b);
         }
         seal_group(&oss, 0, &members);
 
@@ -469,8 +499,8 @@ mod tests {
         let members: Vec<(String, Bytes)> = (1..=3)
             .map(|n| (data_key(n), sealed(n as u8, 40)))
             .collect();
-        for (k, b) in &members {
-            oss.put(k, b.clone()).unwrap();
+        for (n, (_, b)) in (1..).zip(&members) {
+            put_member(&oss, n, b);
         }
         seal_group(&oss, 0, &members);
         let replica_only = data_key(7);
@@ -497,6 +527,33 @@ mod tests {
         assert_eq!(out[3].as_ref().unwrap(), &good);
         assert!(matches!(&out[4], Err(SlimError::ObjectNotFound(_))));
         assert_eq!(wrapped.metrics().reconstructions.get(), 2);
+    }
+
+    #[test]
+    fn collected_container_is_a_miss_not_a_manifest_scan() {
+        let (oss, wrapped) = store();
+        let members: Vec<(String, Bytes)> = (1..=2)
+            .map(|n| (data_key(n), sealed(n as u8, 40)))
+            .collect();
+        for (n, (_, b)) in (1..).zip(&members) {
+            put_member(&oss, n, b);
+        }
+        seal_group(&oss, 0, &members);
+        // Container 1 is collected (data and metadata gone) while a stale
+        // manifest still names it: the read is an honest miss, and it does
+        // not fetch a single manifest to find that out.
+        oss.delete(&members[0].0).unwrap();
+        oss.delete(&layout::container_meta(slim_types::ContainerId(1)))
+            .unwrap();
+        let gets = oss.metrics().snapshot().get_requests;
+        assert!(matches!(
+            wrapped.get(&members[0].0),
+            Err(SlimError::ObjectNotFound(_))
+        ));
+        // (Misses are not counted as served requests; the manifest, which
+        // exists, would have been.)
+        assert_eq!(oss.metrics().snapshot().get_requests, gets);
+        assert_eq!(wrapped.metrics().unrepairable_reads.get(), 1);
     }
 
     #[test]

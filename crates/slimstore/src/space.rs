@@ -22,6 +22,15 @@ pub struct SpaceReport {
     /// the protection overhead the redundancy knobs trade against dedup's
     /// space savings.
     pub redundancy_bytes: u64,
+    /// Share of `redundancy_bytes` in full replicas of container *data*
+    /// objects (the replica tier).
+    pub redundancy_replica_bytes: u64,
+    /// Share of `redundancy_bytes` in XOR parity blocks and their group
+    /// manifests (the parity tier).
+    pub redundancy_parity_bytes: u64,
+    /// Share of `redundancy_bytes` in replicas of container *metadata*
+    /// objects (every live container has one, whatever its tier).
+    pub redundancy_meta_replica_bytes: u64,
     /// Quarantined objects retained for repair or forensics; reclaimable
     /// via `slim scrub --purge` once their primaries are whole again.
     pub quarantine_bytes: u64,
@@ -48,7 +57,24 @@ impl SpaceReport {
         let container_bytes = sum(layout::CONTAINER_PREFIX)?;
         let recipe_bytes = sum(layout::RECIPE_PREFIX)? + sum(layout::RECIPE_INDEX_PREFIX)?;
         let global_index_bytes = sum(layout::GLOBAL_INDEX_PREFIX)?;
-        let redundancy_bytes = sum(layout::REDUNDANCY_PREFIX)?;
+        // The redundancy plane in the same single sweep as before, split by
+        // what each object protects.
+        let redundancy_keys = oss.list(layout::REDUNDANCY_PREFIX);
+        let mut redundancy_bytes = 0u64;
+        let mut redundancy_replica_bytes = 0u64;
+        let mut redundancy_meta_replica_bytes = 0u64;
+        for (key, len) in redundancy_keys.iter().zip(oss.len_many(&redundancy_keys)) {
+            let len = len?.unwrap_or(0);
+            redundancy_bytes += len;
+            if key.starts_with(layout::REPLICA_PREFIX) {
+                match key.ends_with("/data") {
+                    true => redundancy_replica_bytes += len,
+                    false => redundancy_meta_replica_bytes += len,
+                }
+            }
+        }
+        let redundancy_parity_bytes =
+            redundancy_bytes - redundancy_replica_bytes - redundancy_meta_replica_bytes;
         let quarantine_bytes = sum(layout::QUARANTINE_PREFIX)?;
         let total: u64 = sum("")?;
 
@@ -90,6 +116,9 @@ impl SpaceReport {
             recipe_bytes,
             global_index_bytes,
             redundancy_bytes,
+            redundancy_replica_bytes,
+            redundancy_parity_bytes,
+            redundancy_meta_replica_bytes,
             quarantine_bytes,
             other_bytes: total.saturating_sub(accounted),
         })
@@ -139,7 +168,14 @@ mod tests {
             Bytes::from(vec![0; 100]),
         )
         .unwrap();
+        oss.put(
+            "redundancy/replica/containers/000000000001/meta",
+            Bytes::from(vec![0; 7]),
+        )
+        .unwrap();
         oss.put("redundancy/groups/000000000000", Bytes::from(vec![0; 15]))
+            .unwrap();
+        oss.put("redundancy/parity/000000000000", Bytes::from(vec![0; 60]))
             .unwrap();
         oss.put(
             "quarantine/containers/000000000002/data",
@@ -150,10 +186,13 @@ mod tests {
         assert_eq!(report.container_bytes, 100);
         assert_eq!(report.recipe_bytes, 40);
         assert_eq!(report.global_index_bytes, 20);
-        assert_eq!(report.redundancy_bytes, 115);
+        assert_eq!(report.redundancy_bytes, 182);
+        assert_eq!(report.redundancy_replica_bytes, 100);
+        assert_eq!(report.redundancy_meta_replica_bytes, 7);
+        assert_eq!(report.redundancy_parity_bytes, 75);
         assert_eq!(report.quarantine_bytes, 50);
         assert_eq!(report.other_bytes, 5);
-        assert_eq!(report.total(), 330);
+        assert_eq!(report.total(), 397);
         assert_eq!(report.container_logical_bytes, 0, "no meta objects");
         assert_eq!(report.compression_ratio(), 1.0);
     }

@@ -69,11 +69,14 @@ pub struct SlimConfig {
     /// are protected by replicas or XOR parity groups, reads self-heal from
     /// them, and the G-node re-tiers protection each maintenance cycle.
     pub redundancy: bool,
-    /// Number of live global-index entries (authoritative chunk copies) at or
-    /// above which a container's data object is protected by a full replica
-    /// instead of parity-only. Deduplication concentrates risk in exactly
-    /// these containers: many versions depend on their chunks.
-    pub redundancy_replica_refs: u64,
+    /// Version fan-in — the number of retained versions whose recipes name
+    /// a container — at or above which its data object is protected by a
+    /// full replica instead of parity-only. Deduplication concentrates risk
+    /// in exactly these containers: that many versions are lost with one
+    /// object. Promotion is one-way (a replica outlives a falling fan-in
+    /// until its container is collected); `0` replicates every container,
+    /// `u64::MAX` none.
+    pub redundancy_replica_versions: u64,
     /// Number of container data objects XOR-ed together into one parity
     /// group (the `k` of k+1 erasure coding; any single member is
     /// reconstructible from the other k-1 plus the parity block).
@@ -138,7 +141,7 @@ impl Default for SlimConfig {
             restore_cache_disk: 256 * 1024 * 1024,
             prefetch_threads: 6,
             redundancy: true,
-            redundancy_replica_refs: 64,
+            redundancy_replica_versions: 4,
             parity_group_size: 4,
             compression: true,
             backup_pipeline_threads: 4,
@@ -175,7 +178,7 @@ impl SlimConfig {
             restore_cache_disk: 256 * 1024,
             prefetch_threads: 2,
             redundancy: true,
-            redundancy_replica_refs: 8,
+            redundancy_replica_versions: 2,
             parity_group_size: 3,
             // Off by default so byte-level unit tests see stored == raw
             // sizes; the compressed paths are exercised explicitly by

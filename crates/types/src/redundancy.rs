@@ -4,8 +4,8 @@
 //! hold the only copy of chunks referenced by many backup versions, so a
 //! single corrupt object becomes loss for every version that points at it.
 //! The redundancy plane re-introduces *controlled* redundancy: container
-//! objects are protected either by a full replica (high-reference
-//! containers) or by membership in an XOR parity group of `k` containers
+//! objects are protected either by a full replica (containers many
+//! retained versions name) or by membership in an XOR parity group of `k` containers
 //! (everything else), trading one parity block of max-member size for
 //! single-fault reconstruction of any member.
 //!

@@ -10,7 +10,7 @@ use std::fmt;
 
 use crate::codec::{Reader, Writer};
 use crate::container::ContainerId;
-use crate::error::Result;
+use crate::error::{Result, SlimError};
 
 /// Identifier of one backup version (monotonically increasing per user).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,10 +84,19 @@ pub struct VersionManifest {
     /// referenced here but not by version N+1 or any similar file, plus
     /// sparse containers emptied by compaction (§VI-B).
     pub garbage_on_delete: Vec<ContainerId>,
+    /// Containers this version's recipes name, ascending — recorded by the
+    /// G-node when it settles the version (after SCC rewrote the recipes),
+    /// with the successor id substituted whenever a later G-node rewrite
+    /// replaces one of them. A container's *version fan-in*, the measure the
+    /// redundancy plane tiers by, is the number of retained manifests naming
+    /// it here. Empty on a version no cycle has settled yet and on manifests
+    /// written in format 1; readers then derive it from the recipes.
+    pub referenced_containers: Vec<ContainerId>,
 }
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SLVM";
-const MANIFEST_VERSION: u8 = 1;
+/// Format 2 appends `referenced_containers`; format 1 still decodes.
+const MANIFEST_VERSION: u8 = 2;
 
 impl VersionManifest {
     /// A fresh manifest for `version`.
@@ -142,13 +151,15 @@ impl VersionManifest {
             w.u64(f.chunk_count);
             w.u64(f.duplicate_count);
         }
-        w.u32(self.new_containers.len() as u32);
-        for c in &self.new_containers {
-            w.u64(c.0);
-        }
-        w.u32(self.garbage_on_delete.len() as u32);
-        for c in &self.garbage_on_delete {
-            w.u64(c.0);
+        for list in [
+            &self.new_containers,
+            &self.garbage_on_delete,
+            &self.referenced_containers,
+        ] {
+            w.u32(list.len() as u32);
+            for c in list {
+                w.u64(c.0);
+            }
         }
         w.freeze()
     }
@@ -156,7 +167,13 @@ impl VersionManifest {
     /// Deserialize from the OSS wire format.
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let mut r = Reader::new(buf, "version manifest");
-        r.expect_header(MANIFEST_MAGIC, MANIFEST_VERSION)?;
+        let format = r.sniff_header(MANIFEST_MAGIC)?;
+        if !(1..=MANIFEST_VERSION).contains(&format) {
+            return Err(SlimError::corrupt(
+                "version manifest",
+                format!("unsupported format version {format}"),
+            ));
+        }
         let version = r.u64()?;
         // Three empty strings and four u64s at the least.
         let nf = r.count(3 * 4 + 4 * 8)?;
@@ -172,22 +189,23 @@ impl VersionManifest {
                 duplicate_count: r.u64()?,
             });
         }
-        let nc = r.count(8)?;
-        let mut new_containers = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            new_containers.push(ContainerId(r.u64()?));
-        }
-        let ng = r.count(8)?;
-        let mut garbage_on_delete = Vec::with_capacity(ng);
-        for _ in 0..ng {
-            garbage_on_delete.push(ContainerId(r.u64()?));
-        }
+        let ids = |r: &mut Reader| -> Result<Vec<ContainerId>> {
+            let n = r.count(8)?;
+            (0..n).map(|_| r.u64().map(ContainerId)).collect()
+        };
+        let new_containers = ids(&mut r)?;
+        let garbage_on_delete = ids(&mut r)?;
+        let referenced_containers = match format {
+            1 => Vec::new(),
+            _ => ids(&mut r)?,
+        };
         r.finish()?;
         Ok(VersionManifest {
             version,
             files,
             new_containers,
             garbage_on_delete,
+            referenced_containers,
         })
     }
 }
@@ -210,6 +228,7 @@ mod tests {
             }],
             new_containers: vec![ContainerId(5), ContainerId(6)],
             garbage_on_delete: vec![ContainerId(1)],
+            referenced_containers: vec![ContainerId(1), ContainerId(5), ContainerId(6)],
         }
     }
 
@@ -219,6 +238,29 @@ mod tests {
         let buf = m.encode();
         let back = VersionManifest::decode(&buf).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn format_1_decodes_with_an_empty_referenced_set() {
+        let m = sample();
+        // Format 1 is format 2 without the trailing list.
+        let v2 = m.encode();
+        let tail = 4 + 8 * m.referenced_containers.len();
+        let mut v1 = v2[..v2.len() - tail].to_vec();
+        v1[4] = 1;
+        let back = VersionManifest::decode(&v1).unwrap();
+        assert_eq!(
+            back,
+            VersionManifest {
+                referenced_containers: Vec::new(),
+                ..m
+            }
+        );
+        let mut v3 = v2.to_vec();
+        v3[4] = 3;
+        assert!(VersionManifest::decode(&v3).is_err());
+        v3[4] = 0;
+        assert!(VersionManifest::decode(&v3).is_err());
     }
 
     #[test]

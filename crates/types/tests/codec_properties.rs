@@ -101,7 +101,8 @@ fn gen_manifest(rng: &mut Rng) -> VersionManifest {
         version: rng.next_u64(),
         files,
         new_containers: containers.clone(),
-        garbage_on_delete: containers,
+        garbage_on_delete: containers.clone(),
+        referenced_containers: containers,
     }
 }
 
@@ -250,18 +251,16 @@ fn oversized_counts_are_corrupt_not_allocated() {
         check(&gen_container_meta(rng).encode(), HEADER + 8 + 4, 29, |b| {
             ContainerMeta::decode(b).err()
         });
-        // The manifest's three counts: files, then two container lists.
+        // The manifest's four counts: files, then three container lists.
         let mut m = gen_manifest(rng);
         check(&m.encode(), HEADER + 8, 44, manifest);
         m.files.clear();
         let lists = HEADER + 8 + 4;
         check(&m.encode(), lists, 8, manifest);
-        check(
-            &m.encode(),
-            lists + 4 + 8 * m.new_containers.len(),
-            8,
-            manifest,
-        );
+        let second = lists + 4 + 8 * m.new_containers.len();
+        check(&m.encode(), second, 8, manifest);
+        let third = second + 4 + 8 * m.garbage_on_delete.len();
+        check(&m.encode(), third, 8, manifest);
         // Parity groups are CRC-sealed: tamper inside the seal.
         let mut group = ParityGroup {
             id: rng.next_u64(),

@@ -308,3 +308,198 @@ fn soak_random_faults_with_kill_restart_scrub() {
         assert_converged(&store, &oss, &retained, &format!("soak round {round}"));
     }
 }
+
+// ---- The same property where deployments actually run: `SlimConfig::default()`.
+
+fn default_store_over(store: Arc<dyn ObjectStore>) -> SlimStore {
+    SlimStoreBuilder::in_memory()
+        .with_object_store(store)
+        .build()
+        .unwrap()
+}
+
+/// Versions of two files at the default configuration, a G-node cycle after
+/// every one: most bytes stay (those containers gather version fan-in and
+/// are promoted to the replica tier), while a window that moves through a
+/// hot region is rewritten each time (those containers are named by a few
+/// versions only and stay in parity groups).
+fn default_history(store: &SlimStore, versions: usize) -> Retained {
+    let mut files = vec![
+        (FileId::new("db/a"), data(21, 120_000)),
+        (FileId::new("db/b"), data(22, 40_000)),
+    ];
+    let mut retained: Retained = Vec::new();
+    for round in 0..versions {
+        let r = store.backup_version(files.clone()).unwrap();
+        retained.push((r.version, files.clone()));
+        store.run_gnode_cycle(r.version).unwrap();
+        let (at, len) = ((round * 17_000) % 40_000, 20_000);
+        let fresh = data(100 + round as u64, len);
+        files[0].1[at..at + len].copy_from_slice(&fresh);
+        let at = (round * 5_000) % 30_000;
+        files[1].1[at..at + 4_000].copy_from_slice(&fresh[..4_000]);
+    }
+    retained
+}
+
+/// Every object of the bucket, bytes included.
+fn bucket_snapshot(oss: &Oss) -> Vec<(String, Bytes)> {
+    oss.list("")
+        .into_iter()
+        .map(|key| {
+            let bytes = oss.get(&key).unwrap();
+            (key, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn no_tier_is_dead_at_the_default_configuration_and_any_single_fault_heals() {
+    let config = SlimConfig::default();
+    let oss = Oss::in_memory();
+    let store = default_store_over(Arc::new(oss.clone()));
+    let retained = default_history(&store, config.redundancy_replica_versions as usize + 2);
+
+    // Both tiers formed, and the plane is cheaper than a second copy.
+    let tiers = store.gnode().update_redundancy().unwrap();
+    assert!(tiers.replica_tier > 0, "{tiers:?}");
+    assert!(tiers.parity_tier > 0, "{tiers:?}");
+    let containers = store.storage().list_containers().len() as u64;
+    assert_eq!(tiers.replica_tier + tiers.parity_tier, containers);
+    let space = store.space_report().unwrap();
+    assert!(space.redundancy_bytes < space.container_bytes, "{space:?}");
+    assert!(space.redundancy_replica_bytes > 0 && space.redundancy_parity_bytes > 0);
+    let snap = store.telemetry_snapshot();
+    assert_eq!(
+        snap.gauge("gnode.redundancy.replica_tier") as u64,
+        tiers.replica_tier
+    );
+    assert_eq!(
+        snap.gauge("gnode.redundancy.parity_tier") as u64,
+        tiers.parity_tier
+    );
+    assert!(snap.counter("gnode.redundancy.promotions") >= tiers.replica_tier);
+
+    // Any single member of any group: container data in either tier,
+    // container metadata, and the parity blocks themselves.
+    let primaries = oss.list(layout::CONTAINER_PREFIX);
+    let replicated = |key: &str| oss.exists(&layout::replica_key(key)).unwrap();
+    assert!(primaries
+        .iter()
+        .any(|k| k.ends_with("/data") && replicated(k)));
+    assert!(primaries
+        .iter()
+        .any(|k| k.ends_with("/data") && !replicated(k)));
+    let blocks = oss.list(layout::PARITY_DATA_PREFIX).len();
+    for damage in ALL_DAMAGE {
+        // A damaged block is sealed anew under the next id, so "the first
+        // one listed" walks through all of them.
+        let victims = primaries
+            .iter()
+            .cloned()
+            .map(Some)
+            .chain((0..blocks).map(|_| None));
+        for victim in victims {
+            let key = victim.unwrap_or_else(|| oss.list(layout::PARITY_DATA_PREFIX).remove(0));
+            let ctx = format!("{damage:?} {key}");
+            apply_damage(&oss, &key, damage);
+            for (v, expected) in &retained {
+                store.verify_version(*v, expected).expect(&ctx);
+            }
+            assert_converged(&store, &oss, &retained, &ctx);
+            // The next re-tier makes the plane whole again too (a damaged
+            // parity block was dropped with its group and is sealed anew).
+            let healed = store.gnode().update_redundancy().unwrap();
+            assert_eq!(
+                (healed.replica_tier, healed.parity_tier),
+                (tiers.replica_tier, tiers.parity_tier),
+                "{ctx}: {healed:?}"
+            );
+        }
+    }
+    // (`unrepairable_reads` is not zero here: old versions name containers
+    // the cycles have since rewritten, and a read of a collected container
+    // is a miss the plane rightly cannot heal.)
+    let snap = store.telemetry_snapshot();
+    assert_eq!(snap.counter("oss.redundancy.repair_failures"), 0);
+}
+
+/// Group composition and ids are functions of the history, not of which
+/// request answered first: the same seeded history leaves the same bucket,
+/// byte for byte, run after run — retention sweep (which invalidates groups
+/// and regroups their survivors) included.
+#[test]
+fn the_same_history_leaves_a_byte_identical_bucket() {
+    let run = || {
+        let oss = Oss::in_memory();
+        let store = default_store_over(Arc::new(oss.clone()));
+        default_history(&store, 6);
+        store.retain_last(3).unwrap();
+        bucket_snapshot(&oss)
+    };
+    let first = run();
+    assert!(first
+        .iter()
+        .any(|(key, _)| key.starts_with(layout::PARITY_GROUP_PREFIX)));
+    assert_eq!(run(), first);
+}
+
+/// Delays a seeded-random subset of whole-object reads, so the fan-out's
+/// requests complete in an order the key order does not predict.
+struct JitteredReads {
+    inner: Oss,
+    rng: parking_lot::Mutex<slim_types::rng::Rng>,
+}
+
+impl ObjectStore for JitteredReads {
+    fn put(&self, key: &str, value: Bytes) -> slim_types::Result<()> {
+        self.inner.put(key, value)
+    }
+    fn get(&self, key: &str) -> slim_types::Result<Bytes> {
+        let nap = {
+            let mut rng = self.rng.lock();
+            rng.gen_bool(0.3).then(|| rng.gen_range(50..1500))
+        };
+        if let Some(micros) = nap {
+            std::thread::sleep(std::time::Duration::from_micros(micros));
+        }
+        self.inner.get(key)
+    }
+    fn get_range(&self, key: &str, start: u64, len: u64) -> slim_types::Result<Bytes> {
+        self.inner.get_range(key, start, len)
+    }
+    fn delete(&self, key: &str) -> slim_types::Result<()> {
+        self.inner.delete(key)
+    }
+    fn exists(&self, key: &str) -> slim_types::Result<bool> {
+        self.inner.exists(key)
+    }
+    fn len(&self, key: &str) -> slim_types::Result<Option<u64>> {
+        self.inner.len(key)
+    }
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+}
+
+#[test]
+fn delayed_reads_change_nothing_in_the_bucket() {
+    let run = |jitter: Option<u64>| {
+        let oss = Oss::in_memory();
+        let stack: Arc<dyn ObjectStore> = match jitter {
+            None => Arc::new(oss.clone()),
+            Some(seed) => Arc::new(JitteredReads {
+                inner: oss.clone(),
+                rng: parking_lot::Mutex::new(slim_types::rng::Rng::seed_from_u64(seed)),
+            }),
+        };
+        let store = default_store_over(stack);
+        default_history(&store, 6);
+        store.retain_last(3).unwrap();
+        bucket_snapshot(&oss)
+    };
+    let quiet = run(None);
+    for seed in [0xD1CE, 0xFACE] {
+        assert_eq!(run(Some(seed)), quiet, "jitter seed {seed:#x}");
+    }
+}
