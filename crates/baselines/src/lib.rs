@@ -20,6 +20,8 @@
 //!   lock around the shared fingerprint index, and an OSSFS-style
 //!   filesystem-emulation layer that adds per-operation overhead.
 
+#![forbid(unsafe_code)]
+
 pub mod capping;
 pub mod common;
 pub mod har;

@@ -20,6 +20,8 @@
 //! (default `1.0`); absolute numbers depend on the machine, the *shapes*
 //! are the reproduction target (see EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use slim_oss::NetworkModel;

@@ -1,17 +1,17 @@
 //! SHA-1 chunk fingerprinting.
 //!
 //! The paper fingerprints chunks with a cryptographically secure hash so
-//! collisions can be neglected (§II); we use SHA-1 via the RustCrypto
-//! implementation (hardware-accelerated where available, which matters for
-//! the CPU-time breakdown experiments of Fig 2/Fig 5(d)).
+//! collisions can be neglected (§II). The hash is the in-tree `sha1` module:
+//! the SHA extensions when the CPU has them, a portable FIPS 180-4 loop
+//! otherwise — which of the two ran decides the CPU-time breakdown of
+//! Fig 2 / Fig 5(d).
 
-use sha1::{Digest, Sha1};
+use crate::sha1;
 use slim_types::Fingerprint;
 
 /// Fingerprint a chunk payload.
 pub fn fingerprint(data: &[u8]) -> Fingerprint {
-    let digest = Sha1::digest(data);
-    Fingerprint::from_slice(&digest).expect("SHA-1 digest is 20 bytes")
+    Fingerprint::from_bytes(sha1::digest(data))
 }
 
 #[cfg(test)]

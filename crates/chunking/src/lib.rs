@@ -11,7 +11,8 @@
 //! * [`fastcdc::FastCdcChunker`] — FastCDC with normalized chunking (two
 //!   masks around the target size) and min-size skipping;
 //! * [`fixed::FixedChunker`] — fixed-size chunking (boundary-shift baseline);
-//! * [`fp`] — SHA-1 chunk fingerprinting;
+//! * [`fp`] — SHA-1 chunk fingerprinting, over an in-tree SHA-1 with an
+//!   x86-64 SHA-NI path;
 //! * [`sample`] — the `fp mod R == 0` representative-fingerprint sampling
 //!   used by the similar-file index and recipe index.
 //!
@@ -21,12 +22,15 @@
 //! cut point the L-node re-checks the cut condition in O(window) instead of
 //! rescanning every byte (§IV-B).
 
+#![deny(unsafe_code)]
+
 pub mod fastcdc;
 pub mod fixed;
 pub mod fp;
 pub mod gear;
 pub mod rabin;
 pub mod sample;
+mod sha1;
 pub mod stream;
 
 pub use fastcdc::FastCdcChunker;

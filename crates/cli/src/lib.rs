@@ -29,6 +29,8 @@
 //! (run automatically after each backup) performs exact dedup and compacts
 //! sparse containers for the new version.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

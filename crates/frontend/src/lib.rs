@@ -67,6 +67,8 @@
 //! frontend.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod clock;
 mod frontend;
 mod policy;

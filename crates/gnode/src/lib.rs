@@ -35,6 +35,8 @@
 //! [`GNode`] packages these into the offline cycle the system facade
 //! schedules after each backup version.
 
+#![forbid(unsafe_code)]
+
 pub mod collect;
 pub mod fanin;
 mod fanout;

@@ -18,6 +18,8 @@
 //! Bloom and counting-bloom filters live in [`slim_types::bloom`] because the
 //! storage substrate also needs them.
 
+#![forbid(unsafe_code)]
+
 pub mod dedup_cache;
 pub mod global;
 pub mod similar;

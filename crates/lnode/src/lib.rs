@@ -20,6 +20,8 @@
 //! (container store, recipe store, manifests) — also lives here because both
 //! node types are built on it.
 
+#![forbid(unsafe_code)]
+
 pub mod backup;
 pub mod fv_cache;
 pub mod node;

@@ -5,9 +5,9 @@
 //! itself and the OSS uploads:
 //!
 //! ```text
-//!  (1) feeder ──(seq,start,end)──▶ (2) fp workers ──(seq,ChunkRef)──▶ (3)
-//!      rolling-hash CDC scan           SHA-1 pool        in-order dedup
-//!                                                        (caller thread)
+//!  (1) feeder ──(seq,[cut; ≤32])──▶ (2) fp workers ──(seq,[ChunkRef])──▶ (3)
+//!      rolling-hash CDC scan            SHA-1 pool         in-order dedup
+//!                                                          (caller thread)
 //!                                                              │ full, unsealed
 //!                                                              ▼ containers
 //!                                      (4) sealer: compress ─▶ CRC ─▶ PUT ──▶ OSS
@@ -38,13 +38,14 @@
 //! the uploader *before* the recipe/index PUTs, preserving the crash-commit
 //! protocol (containers → recipe → recipe index → version manifest).
 //!
-//! **Memory bounds.** The feed queues carry `(seq, ChunkRef)` tuples (~40
-//! bytes), bounded at [`FEED_QUEUE`] each; the out-of-order buffer holds at
-//! most the in-flight window. The upload queue holds at most
-//! [`UPLOAD_QUEUE`] full containers (double buffering), so a pipelined job
-//! uses at most ~`(UPLOAD_QUEUE + 1) * container_capacity` bytes more than a
-//! sequential one. A stalled tenant therefore still fits the admission
-//! byte-budget reasoning of the frontend (see
+//! **Memory bounds.** The feed queues carry batches of up to [`BATCH`] cuts
+//! (~40 bytes each) — one channel wake-up and one pair of clock reads per
+//! batch, not per chunk — bounded at [`FEED_QUEUE`] cuts each; the
+//! out-of-order buffer holds at most the in-flight window. The upload queue
+//! holds at most [`UPLOAD_QUEUE`] full containers (double buffering), so a
+//! pipelined job uses at most ~`(UPLOAD_QUEUE + 1) * container_capacity`
+//! bytes more than a sequential one. A stalled tenant therefore still fits
+//! the admission byte-budget reasoning of the frontend (see
 //! `FrontendConfig::coupled_to_pipeline`).
 
 use std::collections::BTreeMap;
@@ -65,6 +66,12 @@ use crate::storage::StorageLayer;
 /// descriptors. Deep enough to ride out scheduling jitter, small enough that
 /// the feeder can never run unboundedly ahead of the dedup stage.
 const FEED_QUEUE: usize = 512;
+
+/// Cuts per feed message. At the default 4–5 KiB chunks a batch is ~150 KiB
+/// of input: long enough that the channel hand-off and the phase clocks
+/// vanish beside the hashing, short enough that every worker has a batch
+/// while the consumer drains one.
+const BATCH: usize = 32;
 
 /// Full containers allowed to queue behind the uploader (double buffering):
 /// the dedup stage fills container N+2 while N seals and uploads and N+1
@@ -133,19 +140,37 @@ impl PipelineShared {
 /// pulls from it at its cursor; chunks the cursor jumped over (skip hits,
 /// superchunk matches) are discarded on the fly.
 pub(crate) struct ChunkFeed {
-    rx: Receiver<(u64, ChunkRef)>,
-    /// Out-of-order arrivals parked until their predecessors show up.
-    pending: BTreeMap<u64, ChunkRef>,
+    rx: Receiver<(u64, Vec<ChunkRef>)>,
+    /// Out-of-order batches parked until their predecessors show up.
+    pending: BTreeMap<u64, Vec<ChunkRef>>,
     next_seq: u64,
+    /// The in-order batch being drained.
+    current: std::vec::IntoIter<ChunkRef>,
     head: Option<ChunkRef>,
     exhausted: bool,
     shared: Arc<PipelineShared>,
 }
 
+/// Stage (2)'s whole job: fingerprint one batch of cuts, timed once.
+fn hash_batch(data: &[u8], cuts: &[(usize, usize)], shared: &PipelineShared) -> Vec<ChunkRef> {
+    let t = Instant::now();
+    let chunks = cuts
+        .iter()
+        .map(|&(start, end)| ChunkRef {
+            start,
+            end,
+            fp: fingerprint(&data[start..end]),
+        })
+        .collect();
+    PipelineShared::add(&shared.fp_nanos, t.elapsed());
+    chunks
+}
+
 impl ChunkFeed {
     /// Spawn the feeder (and `fp_workers` fingerprint workers when > 0)
     /// inside `scope` and return the consumer handle. With zero workers the
-    /// feeder fingerprints inline — still one stage ahead of the consumer.
+    /// feeder fingerprints its own batches — still one stage ahead of the
+    /// consumer.
     pub(crate) fn spawn<'scope, 'env>(
         scope: &'scope Scope<'scope, 'env>,
         chunker: &'env dyn Chunker,
@@ -153,63 +178,49 @@ impl ChunkFeed {
         fp_workers: usize,
         shared: Arc<PipelineShared>,
     ) -> ChunkFeed {
-        let (done_tx, done_rx) = bounded::<(u64, ChunkRef)>(FEED_QUEUE);
-        if fp_workers == 0 {
-            let shared_f = shared.clone();
+        let (done_tx, done_rx) = bounded::<(u64, Vec<ChunkRef>)>(FEED_QUEUE / BATCH);
+        let (work_tx, work_rx) = bounded::<(u64, Vec<(usize, usize)>)>(FEED_QUEUE / BATCH);
+        for _ in 0..fp_workers {
+            let work_rx = work_rx.clone();
+            let done_tx = done_tx.clone();
+            let shared = shared.clone();
             scope.spawn(move || {
-                let mut seq = 0u64;
-                let mut iter = boundaries(chunker, data);
-                loop {
-                    let t = Instant::now();
-                    let span = iter.next();
-                    PipelineShared::add(&shared_f.chunk_nanos, t.elapsed());
-                    let Some((start, end)) = span else { return };
-                    let t = Instant::now();
-                    let fp = fingerprint(&data[start..end]);
-                    PipelineShared::add(&shared_f.fp_nanos, t.elapsed());
-                    if done_tx.send((seq, ChunkRef { start, end, fp })).is_err() {
+                while let Ok((seq, cuts)) = work_rx.recv() {
+                    if done_tx
+                        .send((seq, hash_batch(data, &cuts, &shared)))
+                        .is_err()
+                    {
                         return; // consumer is gone
                     }
-                    seq += 1;
-                }
-            });
-        } else {
-            let (work_tx, work_rx) = bounded::<(u64, usize, usize)>(FEED_QUEUE);
-            for _ in 0..fp_workers {
-                let work_rx = work_rx.clone();
-                let done_tx = done_tx.clone();
-                let shared_w = shared.clone();
-                scope.spawn(move || {
-                    while let Ok((seq, start, end)) = work_rx.recv() {
-                        let t = Instant::now();
-                        let fp = fingerprint(&data[start..end]);
-                        PipelineShared::add(&shared_w.fp_nanos, t.elapsed());
-                        if done_tx.send((seq, ChunkRef { start, end, fp })).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            let shared_f = shared.clone();
-            scope.spawn(move || {
-                let mut seq = 0u64;
-                let mut iter = boundaries(chunker, data);
-                loop {
-                    let t = Instant::now();
-                    let span = iter.next();
-                    PipelineShared::add(&shared_f.chunk_nanos, t.elapsed());
-                    let Some((start, end)) = span else { return };
-                    if work_tx.send((seq, start, end)).is_err() {
-                        return; // workers are gone
-                    }
-                    seq += 1;
                 }
             });
         }
+        let shared_f = shared.clone();
+        scope.spawn(move || {
+            let mut iter = boundaries(chunker, data);
+            for seq in 0u64.. {
+                let t = Instant::now();
+                let cuts: Vec<(usize, usize)> = iter.by_ref().take(BATCH).collect();
+                PipelineShared::add(&shared_f.chunk_nanos, t.elapsed());
+                if cuts.is_empty() {
+                    return;
+                }
+                let sent = if fp_workers == 0 {
+                    let batch = hash_batch(data, &cuts, &shared_f);
+                    done_tx.send((seq, batch)).is_ok()
+                } else {
+                    work_tx.send((seq, cuts)).is_ok()
+                };
+                if !sent {
+                    return; // downstream is gone
+                }
+            }
+        });
         ChunkFeed {
             rx: done_rx,
             pending: BTreeMap::new(),
             next_seq: 0,
+            current: Vec::new().into_iter(),
             head: None,
             exhausted: false,
             shared,
@@ -219,25 +230,24 @@ impl ChunkFeed {
     /// Block until the next in-order chunk is buffered in `head` (or the
     /// feed is exhausted).
     fn fill_head(&mut self) {
-        while self.head.is_none() && !self.exhausted {
-            if let Some(c) = self.pending.remove(&self.next_seq) {
+        while self.head.is_none() {
+            if let Some(c) = self.current.next() {
                 self.head = Some(c);
+            } else if let Some(batch) = self.pending.remove(&self.next_seq) {
+                self.current = batch.into_iter();
                 self.next_seq += 1;
+            } else if self.exhausted {
                 return;
-            }
-            let t = Instant::now();
-            let msg = self.rx.recv();
-            PipelineShared::add(&self.shared.stall_nanos, t.elapsed());
-            match msg {
-                Ok((seq, c)) => {
-                    if seq == self.next_seq {
-                        self.head = Some(c);
-                        self.next_seq += 1;
-                    } else {
-                        self.pending.insert(seq, c);
+            } else {
+                let t = Instant::now();
+                let msg = self.rx.recv();
+                PipelineShared::add(&self.shared.stall_nanos, t.elapsed());
+                match msg {
+                    Ok((seq, batch)) => {
+                        self.pending.insert(seq, batch);
                     }
+                    Err(_) => self.exhausted = true,
                 }
-                Err(_) => self.exhausted = true,
             }
         }
     }
@@ -396,29 +406,41 @@ mod tests {
         FastCdcChunker::new(ChunkSpec::new(64, 256, 1024))
     }
 
+    /// The whole stream a feed over `data` yields, pulled the way stage (3)
+    /// pulls it, and how many chunks it counted as fed.
+    fn drain(c: &FastCdcChunker, data: &[u8], workers: usize) -> (Vec<ChunkRef>, u64) {
+        let shared = Arc::new(PipelineShared::default());
+        let got = std::thread::scope(|s| {
+            let mut feed = ChunkFeed::spawn(s, c, data, workers, shared.clone());
+            let mut got = Vec::new();
+            let mut pos = 0usize;
+            while let Some(ch) = feed.take_at(pos) {
+                pos = ch.end;
+                got.push(ch);
+            }
+            got
+        });
+        (got, shared.fed.load(Ordering::Relaxed))
+    }
+
     #[test]
     fn feed_reproduces_the_plain_cdc_stream() {
         let c = chunker();
         let data = slim_types::rng::bytes(1, 100_000);
-        let expected = chunk_all(&c, &data);
-        for workers in [0usize, 1, 3] {
-            let shared = Arc::new(PipelineShared::default());
-            let got = std::thread::scope(|s| {
-                let mut feed = ChunkFeed::spawn(s, &c, &data, workers, shared.clone());
-                let mut got = Vec::new();
-                let mut pos = 0usize;
-                while let Some(ch) = feed.take_at(pos) {
-                    pos = ch.end;
-                    got.push(ch);
-                }
-                got
-            });
-            assert_eq!(got, expected, "workers = {workers}");
-            assert_eq!(
-                shared.fed.load(Ordering::Relaxed),
-                expected.len() as u64,
-                "workers = {workers}"
-            );
+        let all = chunk_all(&c, &data);
+        assert!(all.len() > 4 * BATCH, "need several batches");
+        // Inputs that cut into no chunk, one, a batch less one, exactly one
+        // batch, a batch and one, and many batches: a chunk's cut depends
+        // only on the bytes since its start, so the input truncated at the
+        // n-th cut has exactly the first n chunks.
+        for chunks in [0, 1, BATCH - 1, BATCH, BATCH + 1, all.len()] {
+            let expected = &all[..chunks];
+            let input = &data[..expected.last().map_or(0, |ch| ch.end)];
+            for workers in [0usize, 1, 3] {
+                let (got, fed) = drain(&c, input, workers);
+                assert_eq!(got, expected, "{chunks} chunks, {workers} workers");
+                assert_eq!(fed, chunks as u64, "{chunks} chunks, {workers} workers");
+            }
         }
     }
 
@@ -427,19 +449,45 @@ mod tests {
         let c = chunker();
         let data = slim_types::rng::bytes(2, 60_000);
         let expected = chunk_all(&c, &data);
-        assert!(expected.len() > 8, "need enough chunks to jump over");
+        assert!(expected.len() > 3 * BATCH, "need batches to jump over");
         std::thread::scope(|s| {
             let shared = Arc::new(PipelineShared::default());
             let mut feed = ChunkFeed::spawn(s, &c, &data, 2, shared);
             // Consume two chunks, then jump the cursor over the next three —
-            // the way a superchunk hit moves it — and resume.
+            // the way a superchunk hit moves it — and resume inside the same
+            // batch.
             let a = feed.take_at(0).unwrap();
             let b = feed.take_at(a.end).unwrap();
-            let resume = expected[5].start;
-            assert!(resume > b.end);
-            let after_jump = feed.take_at(resume).unwrap();
-            assert_eq!(after_jump, expected[5]);
+            assert!(expected[5].start > b.end);
+            assert_eq!(feed.take_at(expected[5].start).unwrap(), expected[5]);
+            // A longer jump: over the rest of this batch, all of the next,
+            // and into the one after.
+            let far = 2 * BATCH + 3;
+            assert_eq!(feed.take_at(expected[far].start).unwrap(), expected[far]);
+            // One that lands exactly on a batch's first chunk.
+            let edge = 3 * BATCH;
+            assert_eq!(feed.peek_at(expected[edge].start).unwrap(), expected[edge]);
         });
+    }
+
+    #[test]
+    fn dropping_the_consumer_mid_stream_stops_every_stage() {
+        let c = chunker();
+        // Far more chunks than both queues hold, so when the consumer goes
+        // the feeder and the workers are parked on full queues (or about to
+        // be) — the state they must get out of.
+        let data = slim_types::rng::bytes(4, 1_000_000);
+        for workers in [0usize, 1, 3] {
+            // The scope joins every stage; a stage that missed the hang-up
+            // would hang the test here.
+            std::thread::scope(|s| {
+                let shared = Arc::new(PipelineShared::default());
+                let mut feed = ChunkFeed::spawn(s, &c, &data, workers, shared);
+                let first = feed.take_at(0).unwrap();
+                feed.take_at(first.end).unwrap();
+                drop(feed);
+            });
+        }
     }
 
     #[test]

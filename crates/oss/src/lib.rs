@@ -31,6 +31,8 @@
 //! [`rocks`] implements *Rocks-OSS* (§III-B): an LSM key-value store whose
 //! SSTables are OSS objects, used by the global fingerprint index.
 
+#![forbid(unsafe_code)]
+
 pub mod disk;
 pub mod endpoint;
 pub mod fault;

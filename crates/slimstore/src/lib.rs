@@ -22,6 +22,8 @@
 //! assert_eq!(bytes, b"hello world backup");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compute;
 pub mod space;
 pub mod store;

@@ -38,6 +38,8 @@
 //! assert_eq!(round_trip, snap);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod json;
 mod metric;
 mod registry;

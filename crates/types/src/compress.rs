@@ -26,9 +26,9 @@
 //! overrun, input underrun, trailing bytes — is a [`SlimError::Corrupt`].
 //!
 //! **Search decay.** A position whose hash chain yields no match is a
-//! *miss*. After [`DECAY_AFTER`] consecutive misses the encoder stops
+//! *miss*. After `DECAY_AFTER` consecutive misses the encoder stops
 //! probing every position: the stride between probes grows by one every
-//! `1 << DECAY_SHIFT` further misses (up to [`MAX_STRIDE`]) and the bytes in
+//! `1 << DECAY_SHIFT` further misses (up to `MAX_STRIDE`) and the bytes in
 //! between go out as literals unsearched and unindexed. The first match
 //! resets the stride to one, so a chunk with a noisy head and a compressible
 //! body still compresses, while pure noise costs a few hundred probes per

@@ -1,16 +1,14 @@
 //! Error type shared across the SLIMSTORE crates.
 
-use thiserror::Error;
+use std::fmt;
 
 /// Errors produced by SLIMSTORE components.
-#[derive(Debug, Error)]
+#[derive(Debug)]
 pub enum SlimError {
     /// An object requested from the object store does not exist.
-    #[error("object not found: {0}")]
     ObjectNotFound(String),
 
     /// A byte-range read fell outside the object bounds.
-    #[error("range {start}..{end} out of bounds for object {key} of {len} bytes")]
     RangeOutOfBounds {
         key: String,
         start: u64,
@@ -19,41 +17,32 @@ pub enum SlimError {
     },
 
     /// A serialized structure failed to decode.
-    #[error("corrupt {what}: {detail}")]
     Corrupt { what: &'static str, detail: String },
 
     /// A chunk referenced by a recipe could not be located in any container.
-    #[error("chunk {fp} unresolvable: {detail}")]
     ChunkUnresolvable { fp: String, detail: String },
 
     /// A container referenced by a recipe is missing from the container store.
-    #[error("container {0} missing")]
     ContainerMissing(u64),
 
     /// The requested backup version does not exist (or was collected).
-    #[error("version {0} not found")]
     VersionNotFound(u64),
 
     /// The requested file does not exist in the given version.
-    #[error("file {file} not found in version {version}")]
     FileNotFound { file: String, version: u64 },
 
     /// Fault injected by a test or the simulated network.
-    #[error("injected fault: {0}")]
     InjectedFault(String),
 
     /// A transient failure (simulated 5xx); the operation may succeed if
     /// retried.
-    #[error("transient failure: {0}")]
     Transient(String),
 
     /// The object store rejected the request due to rate limiting; the
     /// operation may succeed if retried after backing off.
-    #[error("throttled: {0}")]
     Throttled(String),
 
     /// An operation exhausted its retry/deadline budget without succeeding.
-    #[error("{op} timed out after {attempts} attempts: {last}")]
     Timeout {
         op: String,
         attempts: u32,
@@ -64,7 +53,6 @@ pub enum SlimError {
     /// is currently considered sick (Open state). The request was *not*
     /// issued; retrying after backing off may find a recovered endpoint or
     /// an admitted half-open probe slot.
-    #[error("circuit open: {0}")]
     CircuitOpen(String),
 
     /// The request plane refused or abandoned the request because the
@@ -72,16 +60,63 @@ pub enum SlimError {
     /// exceeded, deadline expired while queued, or the frontend is
     /// draining. The request was *not* executed; retrying after backing
     /// off may succeed.
-    #[error("overloaded: {0}")]
     Overloaded(String),
 
     /// Configuration rejected at construction time.
-    #[error("invalid configuration: {0}")]
     InvalidConfig(String),
 
     /// An I/O error from the local-disk tier of the restore cache.
-    #[error("io error: {0}")]
-    Io(#[from] std::io::Error),
+    Io(std::io::Error),
+}
+
+impl fmt::Display for SlimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use SlimError::*;
+        match self {
+            ObjectNotFound(key) => write!(f, "object not found: {key}"),
+            RangeOutOfBounds {
+                key,
+                start,
+                end,
+                len,
+            } => write!(
+                f,
+                "range {start}..{end} out of bounds for object {key} of {len} bytes"
+            ),
+            Corrupt { what, detail } => write!(f, "corrupt {what}: {detail}"),
+            ChunkUnresolvable { fp, detail } => write!(f, "chunk {fp} unresolvable: {detail}"),
+            ContainerMissing(id) => write!(f, "container {id} missing"),
+            VersionNotFound(version) => write!(f, "version {version} not found"),
+            FileNotFound { file, version } => {
+                write!(f, "file {file} not found in version {version}")
+            }
+            InjectedFault(what) => write!(f, "injected fault: {what}"),
+            Transient(what) => write!(f, "transient failure: {what}"),
+            Throttled(what) => write!(f, "throttled: {what}"),
+            Timeout { op, attempts, last } => {
+                write!(f, "{op} timed out after {attempts} attempts: {last}")
+            }
+            CircuitOpen(what) => write!(f, "circuit open: {what}"),
+            Overloaded(what) => write!(f, "overloaded: {what}"),
+            InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
+            Io(e) => write!(f, "io error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SlimError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SlimError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<std::io::Error> for SlimError {
+    fn from(e: std::io::Error) -> Self {
+        SlimError::Io(e)
+    }
 }
 
 /// Convenience alias used across all SLIMSTORE crates.
@@ -139,5 +174,92 @@ mod tests {
         assert!(!SlimError::InjectedFault("put k".into()).is_retryable());
         assert!(!SlimError::corrupt("recipe", "bad magic").is_retryable());
         assert!(!SlimError::ContainerMissing(3).is_retryable());
+    }
+
+    #[test]
+    fn every_variant_renders_its_pinned_message() {
+        // The CLI prints these and suites match on them.
+        let io = || std::io::Error::new(std::io::ErrorKind::NotFound, "no such file");
+        let rendered: [(SlimError, &str); 15] = [
+            (
+                SlimError::ObjectNotFound("recipes/3".into()),
+                "object not found: recipes/3",
+            ),
+            (
+                SlimError::RangeOutOfBounds {
+                    key: "containers/7".into(),
+                    start: 10,
+                    end: 90,
+                    len: 64,
+                },
+                "range 10..90 out of bounds for object containers/7 of 64 bytes",
+            ),
+            (
+                SlimError::corrupt("recipe", "bad magic"),
+                "corrupt recipe: bad magic",
+            ),
+            (
+                SlimError::ChunkUnresolvable {
+                    fp: "a9993e36".into(),
+                    detail: "not in index".into(),
+                },
+                "chunk a9993e36 unresolvable: not in index",
+            ),
+            (SlimError::ContainerMissing(3), "container 3 missing"),
+            (SlimError::VersionNotFound(9), "version 9 not found"),
+            (
+                SlimError::FileNotFound {
+                    file: "db/a.bin".into(),
+                    version: 2,
+                },
+                "file db/a.bin not found in version 2",
+            ),
+            (
+                SlimError::InjectedFault("put k".into()),
+                "injected fault: put k",
+            ),
+            (SlimError::Transient("503".into()), "transient failure: 503"),
+            (
+                SlimError::Throttled("slow down".into()),
+                "throttled: slow down",
+            ),
+            (
+                SlimError::Timeout {
+                    op: "put k".into(),
+                    attempts: 5,
+                    last: "transient failure: 503".into(),
+                },
+                "put k timed out after 5 attempts: transient failure: 503",
+            ),
+            (
+                SlimError::CircuitOpen("endpoint 1 sick".into()),
+                "circuit open: endpoint 1 sick",
+            ),
+            (
+                SlimError::Overloaded("queue full".into()),
+                "overloaded: queue full",
+            ),
+            (
+                SlimError::InvalidConfig("avg_chunk_size = 0".into()),
+                "invalid configuration: avg_chunk_size = 0",
+            ),
+            (SlimError::Io(io()), "io error: no such file"),
+        ];
+        for (error, expected) in &rendered {
+            assert_eq!(error.to_string(), *expected);
+        }
+        // Fifteen rows, fifteen distinct variants: none is pinned twice in
+        // another's place.
+        let distinct: std::collections::HashSet<_> = rendered
+            .iter()
+            .map(|(error, _)| std::mem::discriminant(error))
+            .collect();
+        assert_eq!(distinct.len(), rendered.len());
+
+        // `?` on an `io::Result` still converts, and the cause stays reachable.
+        let converted: SlimError = io().into();
+        assert!(matches!(converted, SlimError::Io(_)));
+        assert!(std::error::Error::source(&converted).is_some());
+        assert!(std::error::Error::source(&SlimError::ContainerMissing(3)).is_none());
     }
 }

@@ -20,6 +20,8 @@
 //! Everything that crosses the OSS boundary has a versioned binary encoding
 //! (see [`codec`]) so that the storage layer stores bytes, not Rust objects.
 
+#![forbid(unsafe_code)]
+
 pub mod bloom;
 pub mod chunk;
 pub mod codec;

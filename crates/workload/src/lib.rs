@@ -22,6 +22,8 @@
 //! produce identical bytes. Experiments are therefore reproducible and files
 //! can be regenerated lazily instead of held in memory.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod generator;
 pub mod stats;

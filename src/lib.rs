@@ -4,6 +4,8 @@
 //! exercise the public API of every member crate. Library users should depend
 //! on [`slimstore`] (the system facade) or on the individual substrate crates.
 
+#![forbid(unsafe_code)]
+
 pub use slim_baselines as baselines;
 pub use slim_chunking as chunking;
 pub use slim_frontend as frontend;

@@ -291,8 +291,8 @@ fn v1_wire_metas_remain_readable_end_to_end() {
 
 /// Leg 1, pipelined plane: with compression on, any pipeline thread budget
 /// leaves the bucket byte-identical to the sequential path — compression
-/// happens at container build time, inside the in-order dedup stage, so the
-/// async uploader ships identical bytes.
+/// happens at the seal, on the uploader stage, chunk by chunk and
+/// independent of the seal's fan-out, so both engines ship identical bytes.
 #[test]
 fn pipelined_backup_is_bucket_identical_with_compression_on() {
     let bucket = |threads: usize| -> Vec<(String, Vec<u8>)> {
